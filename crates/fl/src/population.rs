@@ -18,10 +18,15 @@
 //!
 //! # Determinism
 //!
-//! Hydration is a pure O(1) swap ([`Client::swap_persistent`]) and a fresh
-//! client's state is a pure function of `(simulation seed, client id)`
-//! ([`Client::reset_persistent`]), so which rounds touch which clients —
-//! and in which slot a client lands — never changes any stream. Cohort
+//! Hydration is split in two. The serial half binds each slot and performs
+//! the pure O(1) row swap ([`Client::swap_persistent`]). The rest runs on
+//! the pool workers at the top of the client pass: the shard is a pure
+//! function of `(source, client id)` (materialized only when
+//! [`Slot::shard_of`] names a different client), and a fresh client's
+//! state is a pure function of `(simulation seed, client id)`
+//! ([`Client::reset_persistent`]). Each worker writes only into the slot it
+//! owns, so neither the worker schedule, nor which rounds touch which
+//! clients, nor the slot a client lands in ever changes any stream. Cohort
 //! draws ([`draw_cohort`]) advance a dedicated ChaCha8 stream serially
 //! before the parallel client pass, and a full-population cohort makes *no*
 //! draw at all, which pins the sampled engine bit-identical to the

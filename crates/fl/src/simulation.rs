@@ -234,12 +234,16 @@ impl WireState {
 /// test in `tests/` additionally verifies this by replaying updates on
 /// independent per-client copies.
 ///
-/// Each round hydrates the sampled cohort into the slot arena, runs the
-/// fused gradient/upload pass over the slots, streams surviving wire frames
-/// straight into the reusable upload arena the server aggregates from, and
-/// dehydrates the persistent state back into the population — so resident
-/// memory is `O(cohort + touched_clients · dim)` rather than `O(N)`, and
-/// the byte-priced round is allocation-free in steady state.
+/// Each round binds the sampled cohort to the slot arena and swaps
+/// returning members' persistent rows in (serial, O(1) per member). The
+/// fused pass then runs over the slots on the workers: it materializes the
+/// member's shard unless the slot already holds it, resets a first-timer's
+/// state, computes the gradient and builds the upload. Surviving wire
+/// frames stream straight into the reusable upload arena the server
+/// aggregates from, and the persistent state is dehydrated back into the
+/// population afterwards — so resident memory is
+/// `O(cohort + touched_clients · dim)` rather than `O(N)`, and the
+/// byte-priced round is allocation-free in steady state.
 pub struct Simulation {
     model: Box<dyn Model>,
     source: Box<dyn ShardSource>,
@@ -652,7 +656,9 @@ impl Simulation {
         let round_idx = self.round - 1;
 
         // The Hydrate span covers phases (0)–(0b): cohort draw, fault
-        // plan, and slot hydration.
+        // plan, slot binding and the population row swap. Shard
+        // materialization and first-timer resets run on the workers and
+        // land in the ClientPass span.
         let t_hydrate = span_start(rec);
 
         // (0) Cohort draw, serial from its dedicated stream before any
@@ -687,31 +693,60 @@ impl Simulation {
         });
         let mut fault_report = plans.as_ref().map(|_| FaultRoundReport::default());
 
-        // (0b) Hydration, serial: bind each slot to its cohort member,
-        // materialize the shard if the slot held a different client's last
-        // round, and install the member's persistent state — swapped in
-        // O(1) from the population for returning participants, freshly
-        // derived from `(seed, id)` for first-timers (the same derivation
-        // the owned-client path used at construction, so lazy creation is
-        // invisible to the trajectory).
-        let seed = self.config.seed;
+        // (0b) Binding, serial and O(1) per member: bind each slot to its
+        // cohort member, set the round's slot flags from the fault plan, and
+        // swap a returning participant's persistent row in from the
+        // population. Shard materialization and first-timer resets are pure
+        // functions of `(source, seed, id)` that write only into the slot,
+        // so they run on the workers at the top of the client pass below.
         for (pos, &id) in cohort.iter().enumerate() {
             let slot = &mut self.slots[pos];
-            let shard_len = self.source.shard_len(id);
             slot.client
-                .bind(id, shard_len as f64 / cohort_samples as f64);
+                .bind(id, self.source.shard_len(id) as f64 / cohort_samples as f64);
             slot.cohort_pos = pos;
             slot.offline = plans.as_ref().is_some_and(|p| p[pos].offline);
             slot.dropped = plans.as_ref().is_some_and(|p| p[pos].dropped);
             slot.online = false;
             slot.loss = 0.0;
             slot.errors.clear();
+            slot.cached_row = self.population.hydrate(id, &mut slot.client);
+        }
+        span_end(rec, SpanId::Hydrate, t_hydrate);
+
+        // (1) One fused parallel pass per cohort slot: the rest of the
+        // member's hydration, then local gradient computation (Line 4)
+        // immediately followed by building the uplink message (Line 6), so
+        // each member's residual is still hot in cache when its top-k runs
+        // and the round spawns one worker region instead of a parallel
+        // gradient pass plus a serial upload loop. Each slot owns its
+        // member's shard, RNG and sampler and writes only into its own
+        // reused buffers, so this is bit-identical to the sequential loop
+        // and allocation-free in steady state. On the byte-priced path each
+        // member additionally encodes its message into its slot's wire
+        // frame in the same pass.
+        let plan = self.sparsifier.upload_plan(dim, k, &mut self.server_rng);
+        let rerank = matches!(plan, UploadPlan::TopKOwn);
+        let model = self.model.as_ref();
+        let params = &self.params;
+        let wire_codec: Option<(&dyn Codec, bool)> =
+            self.wire.as_ref().map(|w| (w.codec.as_ref(), w.lossy));
+        let source = self.source.as_ref();
+        let seed = self.config.seed;
+        let client_pass = |slot: &mut Slot| {
+            // Hydration, finished on the worker and before the offline
+            // exit: the probe sweep evaluates every hydrated member, offline
+            // ones included, on its shard. The shard is materialized only
+            // when the slot held a different client's last round, and a
+            // first-timer's state is derived from `(seed, id)` — the same
+            // derivation the owned-client path used at construction, so
+            // lazy creation is invisible to the trajectory.
+            let id = slot.client.id();
             if slot.shard_of != Some(id) {
-                self.source.materialize_into(id, slot.client.shard_mut());
+                source.materialize_into(id, slot.client.shard_mut());
                 slot.shard_of = Some(id);
             }
-            slot.cached_row = self.population.hydrate(id, &mut slot.client);
             if slot.cached_row.is_none() {
+                let shard_len = slot.client.num_samples();
                 slot.client.reset_persistent(
                     seed.wrapping_add(1)
                         .wrapping_mul(0x9E37_79B9)
@@ -720,26 +755,6 @@ impl Simulation {
                     shard_len,
                 );
             }
-        }
-        span_end(rec, SpanId::Hydrate, t_hydrate);
-
-        // (1) One fused parallel pass per cohort slot: local gradient
-        // computation (Line 4) immediately followed by building the uplink
-        // message (Line 6), so each member's residual is still hot in cache
-        // when its top-k runs and the round spawns one worker region
-        // instead of a parallel gradient pass plus a serial upload loop.
-        // Each slot owns its member's RNG and sampler and writes only into
-        // its own reused buffers, so this is bit-identical to the
-        // sequential loop and allocation-free in steady state. On the
-        // byte-priced path each member additionally encodes its message
-        // into its slot's wire frame in the same pass.
-        let plan = self.sparsifier.upload_plan(dim, k, &mut self.server_rng);
-        let rerank = matches!(plan, UploadPlan::TopKOwn);
-        let model = self.model.as_ref();
-        let params = &self.params;
-        let wire_codec: Option<(&dyn Codec, bool)> =
-            self.wire.as_ref().map(|w| (w.codec.as_ref(), w.lossy));
-        let client_pass = |slot: &mut Slot| {
             if slot.offline {
                 // Mid-outage: no compute, no upload, and none of the
                 // member's streams advance, so recovery resumes them at
@@ -778,10 +793,10 @@ impl Simulation {
         self.survivors.clear();
         let faulty = plans.is_some();
         let wired = self.wire.is_some();
-        // The ClientPass span covers the fused gradient/encode pass; on
-        // the clean path that includes the pipelined server decode (the
-        // ServerDecode span then measures only the fault path's separate
-        // decode loop below).
+        // The ClientPass span covers the fused materialize/reset/gradient/
+        // encode pass; on the clean path that includes the pipelined server
+        // decode (the ServerDecode span then measures only the fault path's
+        // separate decode loop below).
         let t_client = span_start(rec);
         if !faulty {
             // Clean path: every member survives, so the server can start
@@ -1487,6 +1502,8 @@ mod tests {
     use agsfl_ml::data::{SyntheticFemnist, SyntheticFemnistConfig};
     use agsfl_ml::model::LinearSoftmax;
     use agsfl_sparse::{FabTopK, FubTopK, PeriodicK, SendAll, UnidirectionalTopK};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn tiny_sim_with(
         sparsifier: Box<dyn Sparsifier>,
@@ -2575,5 +2592,132 @@ mod tests {
         assert_eq!(le.train_loss.to_bits(), ee.train_loss.to_bits());
         assert_eq!(le.train_accuracy.to_bits(), ee.train_accuracy.to_bits());
         assert_eq!(le.test_accuracy.to_bits(), ee.test_accuracy.to_bits());
+    }
+
+    /// A [`ShardSource`] wrapper counting `materialize_into` calls per
+    /// client id. The counters are shared with the test through an `Arc`,
+    /// so each instance counts only its own simulation's calls.
+    #[derive(Debug)]
+    struct CountingSource {
+        inner: agsfl_ml::data::LazySyntheticFemnist,
+        calls: Arc<Vec<AtomicUsize>>,
+    }
+
+    impl ShardSource for CountingSource {
+        fn num_clients(&self) -> usize {
+            self.inner.num_clients()
+        }
+        fn num_classes(&self) -> usize {
+            self.inner.num_classes()
+        }
+        fn feature_dim(&self) -> usize {
+            self.inner.feature_dim()
+        }
+        fn shard_len(&self, client: usize) -> usize {
+            self.inner.shard_len(client)
+        }
+        fn test(&self) -> &ClientShard {
+            self.inner.test()
+        }
+        fn materialize_into(&self, client: usize, out: &mut ClientShard) {
+            self.calls[client].fetch_add(1, Ordering::Relaxed);
+            self.inner.materialize_into(client, out);
+        }
+    }
+
+    /// A simulation over a counting lazy source, plus a reader for its
+    /// per-client materialization counts.
+    fn counting_sim(
+        cohort: Option<usize>,
+        fault: Option<FaultModel>,
+        parallelism: Parallelism,
+    ) -> (Simulation, impl Fn() -> Vec<usize>) {
+        let cfg = SyntheticFemnistConfig::tiny();
+        let inner = agsfl_ml::data::LazySyntheticFemnist::new(cfg, 11);
+        let calls: Arc<Vec<AtomicUsize>> =
+            Arc::new((0..cfg.num_clients).map(|_| AtomicUsize::new(0)).collect());
+        let counts = {
+            let calls = Arc::clone(&calls);
+            move || calls.iter().map(|c| c.load(Ordering::Relaxed)).collect()
+        };
+        let sim = Simulation::with_source(
+            Box::new(LinearSoftmax::new(cfg.feature_dim, cfg.num_classes)),
+            Box::new(CountingSource { inner, calls }),
+            Box::new(FabTopK::new()),
+            SimulationConfig {
+                learning_rate: 0.05,
+                batch_size: 8,
+                time_model: TimeModel::normalized(5.0),
+                seed: 11,
+                parallelism,
+                wire: None,
+                fault,
+                cohort,
+            },
+        );
+        (sim, counts)
+    }
+
+    /// The one-shard slot cache (`Slot::shard_of`) materializes a
+    /// full-population cohort's shards exactly once over many rounds: every
+    /// member stays in its slot.
+    #[test]
+    fn full_cohort_materializes_each_shard_once() {
+        for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
+            let (mut sim, counts) = counting_sim(None, None, parallelism);
+            for round in 0..5 {
+                sim.run_round(8, (round % 2 == 0).then_some(4));
+            }
+            assert_eq!(counts(), vec![1; sim.num_clients()], "{parallelism:?}");
+        }
+    }
+
+    /// A sampled cohort materializes a shard exactly when a slot's member
+    /// changes (slot `pos` holds cohort member `pos`), never otherwise.
+    #[test]
+    fn sampled_cohort_materializes_exactly_when_a_slot_changes() {
+        for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
+            let (mut sim, counts) = counting_sim(Some(3), None, parallelism);
+            let mut expected = vec![0usize; sim.num_clients()];
+            let mut held: Vec<Option<usize>> = vec![None; 3];
+            let mut reuses = 0;
+            for round in 0..12 {
+                let report = sim.run_round(8, (round % 2 == 0).then_some(4));
+                for (pos, &id) in report.cohort.iter().enumerate() {
+                    if held[pos] == Some(id) {
+                        reuses += 1;
+                    } else {
+                        expected[id] += 1;
+                        held[pos] = Some(id);
+                    }
+                }
+                assert_eq!(counts(), expected, "{parallelism:?}, round {round}");
+            }
+            assert!(reuses > 0, "no slot kept its member; the cache is untested");
+        }
+    }
+
+    /// Offline members are materialized too: the probe sweep evaluates
+    /// every hydrated member's stale probe sample on its shard, offline or
+    /// not.
+    #[test]
+    fn offline_members_are_still_materialized() {
+        let crashes = FaultModel {
+            crash_prob: 0.5,
+            outage_rounds: (2, 3),
+            seed: 3,
+            ..FaultModel::default()
+        };
+        for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
+            let (mut sim, counts) = counting_sim(None, Some(crashes.clone()), parallelism);
+            let report = sim.run_round(8, Some(4));
+            let offline = report.fault.as_ref().map_or(0, |f| f.offline);
+            assert!(offline > 0, "the fault model must take members offline");
+            assert_eq!(counts(), vec![1; sim.num_clients()], "{parallelism:?}");
+            for round in 1..5 {
+                sim.run_round(8, (round % 2 == 0).then_some(4));
+            }
+            assert_eq!(counts(), vec![1; sim.num_clients()], "{parallelism:?}");
+        }
     }
 }

@@ -53,7 +53,10 @@ pub trait ShardSource: Send + Sync + std::fmt::Debug {
 
     /// Writes client `client`'s shard into `out`, reusing its buffers.
     ///
-    /// Must be a pure function of `(self, client)`.
+    /// Must be a pure function of `(self, client)`. The round engine calls
+    /// it concurrently from pool workers, one cohort slot each, so this
+    /// purity contract is what keeps runs bit-identical at every worker
+    /// count.
     ///
     /// # Panics
     ///

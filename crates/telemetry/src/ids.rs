@@ -16,9 +16,12 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(usize)]
 pub enum SpanId {
-    /// Cohort hydration: population rows into the reusable slot arena.
+    /// Serial cohort setup: cohort draw, fault plan, slot binding, and the
+    /// O(1) swap of returning members' population rows into the slot arena.
     Hydrate,
-    /// The fused per-client local-gradient + uplink-encode pass.
+    /// The fused per-client pass on the workers: shard materialization and
+    /// first-timer reset, then local gradient + uplink encode (plus the
+    /// pipelined server decode on clean rounds).
     ClientPass,
     /// Server-side frame decode + re-rank into the aggregation arena.
     ServerDecode,

@@ -35,10 +35,14 @@ cargo test -q -p agsfl-core qlinear8
 step "pool gate (goldens + lossy pins bit-identical through the worker pool at every worker count)"
 # golden_trajectory and lossy_reproducibility sweep Serial/2/4/8 workers
 # internally, so one pass covers the serial reference and three pool
-# configurations; pool_lifecycle pins reuse-without-respawn across rounds.
+# configurations; pool_lifecycle pins reuse-without-respawn across rounds;
+# cohort_determinism pins eager and lazy cohorts, clean and outage-heavy,
+# Serial against 2-8 workers and through checkpoint/resume (shards are
+# materialized on the workers).
 cargo test -q -p agsfl-fl --test golden_trajectory
 cargo test -q -p agsfl-fl --test lossy_reproducibility
 cargo test -q -p agsfl-fl --test pool_lifecycle
+cargo test -q -p agsfl-fl --test cohort_determinism
 
 step "bounded-RSS smoke (N=10^5 cohort rounds under a 256 MiB peak-RSS assertion)"
 cargo run --release --example million_clients -- --smoke
@@ -51,6 +55,9 @@ step "telemetry gate (recording is observation-only; metrics files byte-identica
 # path bit-identical.
 cargo test -q -p agsfl-fl --test telemetry_determinism
 cargo test -q -p agsfl-core --test metrics_jsonl
+
+step "benchmark unit tests (perfbench's own logic: metric catalogue, tail rule, digests)"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 if [[ "$quick" -eq 0 ]]; then
     step "cargo test --workspace -q (full suite)"
