@@ -14,10 +14,12 @@
 
 use std::collections::BTreeMap;
 
+use agsfl_wire::decode_frame;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::channel::ChannelModel;
 use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
 
 /// Upper bound on [`FaultModel::max_retries`]; larger values are almost
@@ -220,7 +222,7 @@ pub(crate) enum Corruption {
 }
 
 /// Applies a [`Corruption`] to a frame, returning the damaged bytes.
-pub(crate) fn corrupt_frame(frame: &[u8], corruption: Corruption) -> Vec<u8> {
+fn corrupt_frame(frame: &[u8], corruption: Corruption) -> Vec<u8> {
     match corruption {
         Corruption::Truncate(fraction) => {
             let keep = ((frame.len() as f64) * fraction) as usize;
@@ -254,13 +256,62 @@ pub(crate) struct ClientFaultPlan {
 }
 
 impl ClientFaultPlan {
-    fn clean() -> Self {
+    /// The plan of a member no fault touches.
+    pub(crate) fn clean() -> Self {
         Self {
             offline: false,
             dropped: false,
             slowdown: 1.0,
             corruptions: Vec::new(),
         }
+    }
+}
+
+impl FaultModel {
+    /// Sends one member's uplink `frame` under its fault `plan`, tallying
+    /// into `report`. Every corrupted attempt is replayed through the real
+    /// validated decoder (the `WireError` path); a damaged frame that
+    /// happens to decode still counts as detected-corrupt — the link-layer
+    /// checksum stand-in — so corruption delays rounds but never skews the
+    /// trajectory. The attempts are priced on the member's own link with
+    /// the straggler slowdown, retries and backoff, then the deadline is
+    /// applied.
+    ///
+    /// Returns the time the server spent listening to the member and
+    /// whether its upload was delivered. A member lost after exhausting its
+    /// retries still held the server for every futile attempt. A member
+    /// that misses the deadline is lost too, which makes the whole uplink
+    /// phase the deadline, so its own time never sets the price. Under
+    /// [`ClientFaultPlan::clean`] this is exactly
+    /// [`ChannelModel::uplink_time`], delivered.
+    pub(crate) fn transmit(
+        &self,
+        channel: &ChannelModel,
+        round: usize,
+        client: usize,
+        frame: &[u8],
+        plan: &ClientFaultPlan,
+        report: &mut FaultRoundReport,
+    ) -> (f64, bool) {
+        if plan.slowdown > 1.0 {
+            report.stragglers += 1;
+        }
+        let attempt_time = channel.uplink_time_scaled(round, client, frame.len(), plan.slowdown);
+        for &corruption in &plan.corruptions {
+            let _ = decode_frame(&corrupt_frame(frame, corruption), &mut Vec::new());
+            report.corrupt_frames += 1;
+        }
+        let max_attempts = self.max_retries + 1;
+        let failures = plan.corruptions.len();
+        let lost = failures >= max_attempts;
+        let attempts = if lost { max_attempts } else { failures + 1 };
+        report.retries += attempts - 1;
+        report.retransmitted_bytes += frame.len() as u64 * (attempts - 1) as u64;
+        let waited = attempt_time * attempts as f64 + self.retry_backoff * (attempts - 1) as f64;
+        let late = !lost && self.deadline.is_some_and(|d| waited > d);
+        report.corrupt_lost += lost as usize;
+        report.deadline_dropped += late as usize;
+        (waited, !lost && !late)
     }
 }
 
@@ -646,6 +697,49 @@ mod tests {
             state.plan_round_for(round, 1, &cohort);
             assert!(state.outage_until.len() <= cohort.len());
         }
+    }
+
+    #[test]
+    fn transmit_prices_attempts_and_applies_the_deadline() {
+        let channel = ChannelModel::uniform(2, 1.0, 100.0, 100.0, 0.25);
+        let frame = [0u8; 50];
+        let mut report = FaultRoundReport::default();
+        // A clean plan is one nominal upload, bit for bit.
+        let clean = FaultModel::default().transmit(
+            &channel,
+            0,
+            1,
+            &frame,
+            &ClientFaultPlan::clean(),
+            &mut report,
+        );
+        assert_eq!(clean.0.to_bits(), channel.uplink_time(0, 1, 50).to_bits());
+        assert!(clean.1);
+        assert_eq!(report, FaultRoundReport::default());
+        // Every attempt corrupted: three attempts and two backoffs waited,
+        // then lost.
+        let model = FaultModel {
+            retry_backoff: 0.1,
+            deadline: Some(1.0),
+            ..FaultModel::default()
+        };
+        let plan = ClientFaultPlan {
+            corruptions: vec![Corruption::Truncate(0.5); 3],
+            ..ClientFaultPlan::clean()
+        };
+        let (waited, delivered) = model.transmit(&channel, 0, 0, &frame, &plan, &mut report);
+        assert!(!delivered);
+        assert!((waited - (3.0 * 0.75 + 2.0 * 0.1)).abs() < 1e-12);
+        assert_eq!((report.corrupt_frames, report.corrupt_lost), (3, 1));
+        assert_eq!((report.retries, report.retransmitted_bytes), (2, 100));
+        // A straggler whose single attempt overruns the deadline is late.
+        let slow = ClientFaultPlan {
+            slowdown: 4.0,
+            ..ClientFaultPlan::clean()
+        };
+        let (waited, delivered) = model.transmit(&channel, 0, 0, &frame, &slow, &mut report);
+        assert!(!delivered && waited > 1.0);
+        assert_eq!((report.stragglers, report.deadline_dropped), (1, 1));
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! The synchronized sparse-gradient FL simulation (Algorithm 1).
 
+use std::time::Instant;
+
 use agsfl_exec::{Executor, Parallelism};
 use agsfl_ml::data::{ClientShard, FederatedDataset, ShardSource};
 use agsfl_ml::metrics::{
@@ -18,7 +20,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::channel::ChannelModel;
 use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
-use crate::fault::{corrupt_frame, FaultConfigError, FaultModel, FaultRoundReport, FaultState};
+use crate::fault::{ClientFaultPlan, FaultConfigError, FaultModel, FaultRoundReport, FaultState};
 use crate::population::{draw_cohort, ClientPopulation, Slot};
 use crate::round::{ProbeReport, RoundReport, WireRoundReport};
 use crate::time::TimeModel;
@@ -626,11 +628,12 @@ impl Simulation {
 
     /// [`Simulation::run_round`] with round-stage telemetry.
     ///
-    /// Each stage of the round — hydration, the fused client pass, the
-    /// wire-fault pass, server decode, selection, the probe, the downlink,
-    /// and the overlapped bookkeeping — is timed into a [`SpanId`] span,
-    /// and the report's deterministic facts (cohort size, wire bytes,
-    /// fault counts) are mirrored into [`CounterId`]/[`GaugeId`] streams.
+    /// Each stage of the round — hydration, the pipelined client pass with
+    /// the wire-fault and decode work its consumer does, selection, the
+    /// probe, the downlink, and the overlapped bookkeeping — is timed into
+    /// a [`SpanId`] span, and the report's deterministic facts (cohort
+    /// size, wire bytes, fault counts) are mirrored into
+    /// [`CounterId`]/[`GaugeId`] streams.
     ///
     /// Telemetry is **observation only**: it draws no randomness, touches
     /// no simulation state, and the recorder is consulted through
@@ -691,7 +694,6 @@ impl Simulation {
             let max_attempts = f.model().max_retries + 1;
             f.plan_round_for(round_idx, max_attempts, &cohort)
         });
-        let mut fault_report = plans.as_ref().map(|_| FaultRoundReport::default());
 
         // (0b) Binding, serial and O(1) per member: bind each slot to its
         // cohort member, set the round's slot flags from the fault plan, and
@@ -713,17 +715,26 @@ impl Simulation {
         }
         span_end(rec, SpanId::Hydrate, t_hydrate);
 
-        // (1) One fused parallel pass per cohort slot: the rest of the
-        // member's hydration, then local gradient computation (Line 4)
-        // immediately followed by building the uplink message (Line 6), so
-        // each member's residual is still hot in cache when its top-k runs
-        // and the round spawns one worker region instead of a parallel
-        // gradient pass plus a serial upload loop. Each slot owns its
-        // member's shard, RNG and sampler and writes only into its own
-        // reused buffers, so this is bit-identical to the sequential loop
-        // and allocation-free in steady state. On the byte-priced path each
-        // member additionally encodes its message into its slot's wire
-        // frame in the same pass.
+        // (1) One pipelined pass over the cohort slots. The *producer* runs
+        // on the workers: the rest of the member's hydration, then local
+        // gradient computation (Line 4) immediately followed by building the
+        // uplink message (Line 6) and, on the byte-priced path, encoding it
+        // into the slot's wire frame — so each member's residual is still
+        // hot in cache when its top-k runs. Each slot owns its member's
+        // shard, RNG and sampler and writes only into its own reused
+        // buffers, so the producer is allocation-free in steady state.
+        //
+        // The *consumer* runs on this thread in strict cohort order as
+        // frames complete, so the server starts on early members while later
+        // ones are still encoding. Per member it counts the offline and the
+        // dropped, sends the frame through the fault model (corruption
+        // replay, retries, backoff, slowdown and the deadline — a clean plan
+        // when no model is configured), folds the time the server waited
+        // into a running uplink-phase max, and decodes each survivor
+        // straight into the next aggregation input. Every order-dependent
+        // step — the loss reduction, the survivor list, the phase fold —
+        // happens in that in-order consumer, which keeps the round
+        // bit-identical to the sequential loop at every worker count.
         let plan = self.sparsifier.upload_plan(dim, k, &mut self.server_rng);
         let rerank = matches!(plan, UploadPlan::TopKOwn);
         let model = self.model.as_ref();
@@ -790,197 +801,73 @@ impl Simulation {
             slot.online = true;
         };
         let mut train_loss = 0.0f64;
+        let mut fault_report = FaultRoundReport::default();
+        let mut slowest_uplink = 0.0f64;
+        let clean = ClientFaultPlan::clean();
+        let no_faults = FaultModel::default();
+        let policy = self.fault.as_ref().map_or(&no_faults, |f| f.model());
+        let channel = self.wire.as_ref().map(|w| &w.channel);
         self.survivors.clear();
-        let faulty = plans.is_some();
-        let wired = self.wire.is_some();
-        // The ClientPass span covers the fused materialize/reset/gradient/
-        // encode pass; on the clean path that includes the pipelined server
-        // decode (the ServerDecode span then measures only the fault path's
-        // separate decode loop below).
+        while self.uploads.len() < c {
+            self.uploads.push(ClientUpload::new(0, 0.0, Vec::new()));
+        }
+        let uploads = &mut self.uploads;
+        let survivors = &mut self.survivors;
+        // The consumer's fault and decode work is clocked per member (only
+        // when recording) into the WireFault and ServerDecode spans;
+        // ClientPass is the rest of the pass's wall time, so the three tile
+        // the pass.
+        let timed = rec.enabled();
+        let lap = |t0: Option<Instant>| t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        let (mut wire_fault_ns, mut decode_ns) = (0u64, 0u64);
         let t_client = span_start(rec);
-        if !faulty {
-            // Clean path: every member survives, so the server can start
-            // consuming uploads while later members are still encoding. The
-            // client pass runs as the *producer* stage of a pipeline over
-            // the slot arena; the server-side decode into the aggregation
-            // inputs (historically a separate phase (1b) after a full
-            // barrier) is the *consumer*, running on this thread in strict
-            // cohort order as frames complete. The in-order consumer is
-            // what keeps the loss reduction and the upload list
-            // bit-identical to the sequential loop.
-            while self.uploads.len() < c {
-                self.uploads.push(ClientUpload::new(0, 0.0, Vec::new()));
-            }
-            let uploads = &mut self.uploads;
-            let survivors = &mut self.survivors;
-            self.executor
-                .pipeline_mut(&mut self.slots[..c], client_pass, |pos, slot, ()| {
-                    train_loss += slot.client.weight() * slot.loss as f64;
-                    survivors.push(pos);
-                    // (1b, fused) Decode the surviving frame *directly
-                    // into* its aggregation input — no intermediate
-                    // per-client gradient is allocated — so selection
-                    // genuinely runs on what crossed the wire. See the
-                    // faulty-path block below for the bit-identity argument
-                    // (decode is exact or client-pre-reconciled; re-ranking
-                    // is a total order); the debug assertion pins it here
-                    // too.
-                    let upload = &mut uploads[pos];
-                    upload.client = slot.client.id();
-                    upload.weight = slot.client.weight();
-                    upload.entries.clear();
-                    if wired {
-                        let (frame_dim, _) = decode_frame(&slot.frame, &mut upload.entries)
-                            .expect("self-encoded frame must decode");
-                        debug_assert_eq!(frame_dim, dim);
-                        if rerank {
-                            topk::rank_by_magnitude(&mut upload.entries);
-                        }
-                        debug_assert!(
-                            upload.entries.len() == slot.entries.len()
-                                && upload
-                                    .entries
-                                    .iter()
-                                    .zip(slot.entries.iter())
-                                    .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits()),
-                            "decoded uploads must be bit-identical to the built ones"
-                        );
-                    } else {
-                        upload.entries.extend_from_slice(&slot.entries);
-                    }
-                });
-        } else {
-            // Fault path: survivorship is only known after the wire-level
-            // fault pass below, so the client pass stays a plain parallel
-            // region and the decode runs afterwards over the compacted
-            // survivor list.
-            let _: Vec<()> = self.executor.map_mut(&mut self.slots[..c], client_pass);
-            for (pos, slot) in self.slots[..c].iter().enumerate() {
+        self.executor
+            .pipeline_mut(&mut self.slots[..c], client_pass, |pos, slot, ()| {
                 if slot.offline {
-                    if let Some(fr) = fault_report.as_mut() {
-                        fr.offline += 1;
-                    }
-                    continue;
+                    fault_report.offline += 1;
+                    return;
                 }
                 train_loss += slot.client.weight() * slot.loss as f64;
                 if slot.dropped {
-                    // Upload lost in transit, no retry. The computed
-                    // gradient stays in the member's residual accumulator
-                    // (no reset will target it), so error feedback re-sends
-                    // the mass later.
-                    if let Some(fr) = fault_report.as_mut() {
-                        fr.dropped += 1;
+                    // Upload lost in transit, no retry. The computed gradient
+                    // stays in the member's residual accumulator (no reset
+                    // will target it), so error feedback re-sends the mass
+                    // later.
+                    fault_report.dropped += 1;
+                    return;
+                }
+                if let Some(channel) = channel {
+                    let t0 = timed.then(Instant::now);
+                    let (waited, delivered) = policy.transmit(
+                        channel,
+                        round_idx,
+                        slot.client.id(),
+                        &slot.frame,
+                        plans.as_ref().map_or(&clean, |p| &p[pos]),
+                        &mut fault_report,
+                    );
+                    slowest_uplink = slowest_uplink.max(waited);
+                    wire_fault_ns += lap(t0);
+                    if !delivered {
+                        return;
                     }
-                    continue;
                 }
-                self.survivors.push(pos);
-            }
-        }
-        span_end(rec, SpanId::ClientPass, t_client);
-
-        // (1a) Wire-level fault pass, serial in cohort order: replay every
-        // corrupted uplink attempt through the *real* validated decoder
-        // (the `WireError` path), price retries with backoff on the
-        // member's own link, and enforce the round deadline. A damaged
-        // frame that happens to decode is still treated as detected-corrupt
-        // — the link-layer checksum stand-in — so corruption delays rounds
-        // but can never skew the training trajectory. Survivors are
-        // compacted in place; uplink times are indexed parallel to the
-        // cohort.
-        let mut uplink_times: Vec<Option<f64>> = Vec::new();
-        let t_wire_fault = span_start(rec);
-        if let (Some(plans), Some(wire), Some(fr), Some(fault)) = (
-            plans.as_ref(),
-            self.wire.as_ref(),
-            fault_report.as_mut(),
-            self.fault.as_ref(),
-        ) {
-            let fmodel = fault.model();
-            let max_attempts = fmodel.max_retries + 1;
-            let backoff = fmodel.retry_backoff;
-            let deadline = fmodel.deadline;
-            uplink_times = vec![None; c];
-            let mut damaged_entries: Vec<(usize, f32)> = Vec::new();
-            let mut kept = 0usize;
-            for i in 0..self.survivors.len() {
-                let pos = self.survivors[i];
-                let slot = &self.slots[pos];
-                let frame = &slot.frame;
-                let p = &plans[pos];
-                if p.slowdown > 1.0 {
-                    fr.stragglers += 1;
-                }
-                let attempt_time = wire.channel.uplink_time_scaled(
-                    round_idx,
-                    slot.client.id(),
-                    frame.len(),
-                    p.slowdown,
-                );
-                for &corruption in &p.corruptions {
-                    damaged_entries.clear();
-                    let damaged = corrupt_frame(frame, corruption);
-                    let _ = decode_frame(&damaged, &mut damaged_entries);
-                    fr.corrupt_frames += 1;
-                }
-                let failures = p.corruptions.len();
-                let lost = failures >= max_attempts;
-                let attempts_made = if lost { max_attempts } else { failures + 1 };
-                fr.retries += attempts_made - 1;
-                fr.retransmitted_bytes += frame.len() as u64 * (attempts_made - 1) as u64;
-                let total_time =
-                    attempt_time * attempts_made as f64 + backoff * (attempts_made - 1) as f64;
-                if lost {
-                    // Retries exhausted; the server still listened through
-                    // every failed attempt, so the time counts toward the
-                    // uplink phase (unless a deadline caps it below).
-                    fr.corrupt_lost += 1;
-                    uplink_times[pos] = Some(total_time);
-                    continue;
-                }
-                if deadline.is_some_and(|d| total_time > d) {
-                    fr.deadline_dropped += 1;
-                    continue;
-                }
-                uplink_times[pos] = Some(total_time);
-                self.survivors[kept] = pos;
-                kept += 1;
-            }
-            self.survivors.truncate(kept);
-        }
-        span_end(rec, SpanId::WireFault, t_wire_fault);
-        if let Some(fr) = fault_report.as_mut() {
-            fr.survivors = self.survivors.len();
-        }
-
-        // (1b) Fill the persistent aggregation inputs, one per surviving
-        // member, reusing their entry buffers. On the clean path this
-        // already happened inside the pipeline consumer above (survivors
-        // are the identity mapping there, so `uploads[pos]` and
-        // `uploads[u_idx]` coincide); under fault injection it runs here,
-        // over the survivor list the wire-fault pass just compacted. On the
-        // byte-priced path the server decodes each surviving frame
-        // *directly into* its aggregation input — no intermediate
-        // per-client gradient is allocated — so selection genuinely runs on
-        // what crossed the wire. Re-ranking the decoded entries reproduces
-        // the built uploads bit for bit — on the lossless tier because
-        // decode is exact and the top-k rank order is a total order of the
-        // values (`topk::compare_magnitude_then_index`); on the lossy tier
-        // because the client already rewrote its entry list with its own
-        // decode of the same frame. The debug assertion pins both every
-        // test run.
-        let s = self.survivors.len();
-        let t_decode = span_start(rec);
-        if faulty {
-            while self.uploads.len() < s {
-                self.uploads.push(ClientUpload::new(0, 0.0, Vec::new()));
-            }
-            for (u_idx, &pos) in self.survivors.iter().enumerate() {
-                let slot = &self.slots[pos];
-                let upload = &mut self.uploads[u_idx];
+                // Decode the surviving frame *directly into* its aggregation
+                // input — no intermediate per-client gradient is allocated —
+                // so selection genuinely runs on what crossed the wire.
+                // Re-ranking the decoded entries reproduces the built upload
+                // bit for bit: on the lossless tier because decode is exact
+                // and the top-k rank order is a total order of the values
+                // (`topk::compare_magnitude_then_index`); on the lossy tier
+                // because the client already rewrote its entry list with its
+                // own decode of the same frame. The debug assertion pins both
+                // every test run.
+                let t0 = timed.then(Instant::now);
+                let upload = &mut uploads[survivors.len()];
                 upload.client = slot.client.id();
                 upload.weight = slot.client.weight();
                 upload.entries.clear();
-                if wired {
+                if channel.is_some() {
                     let (frame_dim, _) = decode_frame(&slot.frame, &mut upload.entries)
                         .expect("self-encoded frame must decode");
                     debug_assert_eq!(frame_dim, dim);
@@ -999,9 +886,28 @@ impl Simulation {
                 } else {
                     upload.entries.extend_from_slice(&slot.entries);
                 }
-            }
+                survivors.push(pos);
+                decode_ns += lap(t0);
+            });
+        if let Some(t0) = t_client {
+            let pass_ns = lap(Some(t0));
+            rec.span(
+                SpanId::ClientPass,
+                pass_ns.saturating_sub(wire_fault_ns + decode_ns),
+            );
+            rec.span(SpanId::WireFault, wire_fault_ns);
+            rec.span(SpanId::ServerDecode, decode_ns);
         }
-        span_end(rec, SpanId::ServerDecode, t_decode);
+        let s = self.survivors.len();
+        fault_report.survivors = s;
+        // The byte-priced uplink phase: the slowest delivery the server
+        // waited out — retries, backoff and straggler slowdown included,
+        // corrupt-lost members' futile attempts included — or the deadline,
+        // which the server waits out in full whenever anyone is missing.
+        let uplink_phase = match policy.deadline {
+            Some(d) if fault_report.lost() > 0 => d,
+            _ => slowest_uplink,
+        };
 
         // (2) Server selection and aggregation, sharded across the
         // executor's workers and reusing the round workspace.
@@ -1092,10 +998,8 @@ impl Simulation {
                 let params = &mut self.params;
                 decode_frame_with(frame, |j, v| params[j] -= lr * v)
                     .expect("self-encoded frame must decode");
-                // Byte accounting is indexed parallel to the cohort — the
-                // per-client identity mapping on a full clean cohort, and
-                // zero bytes for members that never delivered under fault
-                // injection.
+                // Byte accounting is indexed parallel to the cohort, with
+                // zero bytes for members that never delivered.
                 let mut uplink_bytes = vec![0usize; c];
                 for &pos in &self.survivors {
                     uplink_bytes[pos] = self.slots[pos].frame.len();
@@ -1105,42 +1009,6 @@ impl Simulation {
                     .iter()
                     .map(|&pos| frame_codec(&self.slots[pos].frame).expect("freshly encoded frame"))
                     .collect();
-                let time_before_downlink = if let Some(fr) = fault_report.as_ref() {
-                    // Fault path: the uplink phase is the slowest delivery
-                    // the server actually waited out — retries, backoff and
-                    // straggler slowdown included, corrupt-lost members'
-                    // futile attempts included — capped at the deadline,
-                    // which the server waits out in full whenever anyone is
-                    // missing. With every rate at zero this folds the exact
-                    // per-member times of the clean path in the same order,
-                    // so the price is bit-identical to `round_time`.
-                    let deadline = self
-                        .fault
-                        .as_ref()
-                        .expect("fault state present")
-                        .model()
-                        .deadline;
-                    let uplink_phase = match deadline {
-                        Some(d) if fr.lost() > 0 => d,
-                        _ => uplink_times
-                            .iter()
-                            .flatten()
-                            .copied()
-                            .fold(0.0f64, f64::max),
-                    };
-                    wire.channel.compute_time() + uplink_phase
-                } else {
-                    // Clean path: the uplink phase waits for the cohort's
-                    // own links; the downlink is still a broadcast priced
-                    // over every link (the server pushes the global model
-                    // to the whole population) — added after the overlapped
-                    // sweep below. For a full cohort the total is exactly
-                    // `ChannelModel::round_time`.
-                    wire.channel.compute_time()
-                        + wire
-                            .channel
-                            .uplink_phase_time_for(round_idx, &cohort, &uplink_bytes)
-                };
                 let max_uplink_bytes = uplink_bytes.iter().copied().max().unwrap_or(0);
                 let report = WireRoundReport {
                     uplink_bytes,
@@ -1149,6 +1017,11 @@ impl Simulation {
                     uplink_codecs,
                     downlink_codec,
                 };
+                // The broadcast is priced over every link (the server pushes
+                // the global model to the whole population) and added after
+                // the overlapped sweep below; for a full clean cohort the
+                // total is exactly `ChannelModel::round_time`.
+                let time_before_downlink = wire.channel.compute_time() + uplink_phase;
                 (time_before_downlink, Some(downlink_bytes), Some(report))
             }
         };
@@ -1217,7 +1090,7 @@ impl Simulation {
                 scratch.shrink_to_recent_demand();
             },
             || {
-                let t0 = want_pricing_span.then(std::time::Instant::now);
+                let t0 = want_pricing_span.then(Instant::now);
                 let time = match (channel, downlink_bytes) {
                     (Some(channel), Some(bytes)) => channel.downlink_phase_time(round_idx, bytes),
                     _ => 0.0,
@@ -1244,7 +1117,7 @@ impl Simulation {
             contributions,
             probe,
             wire: wire_report,
-            fault: fault_report,
+            fault: self.fault.is_some().then_some(fault_report),
         };
         if rec.enabled() {
             record_round_report(rec, &report);
@@ -1898,6 +1771,47 @@ mod tests {
         // prices rounds.
         assert_eq!(rf.train_loss, rs.train_loss);
         assert_eq!(fast.params(), straggler.params());
+    }
+
+    #[test]
+    fn clean_wired_round_is_priced_by_the_channel_formula() {
+        // The paper's synchronized price of a full clean cohort: compute,
+        // plus the slowest upload, plus the broadcast to every link — on
+        // heterogeneous links under a fluctuating trace, bit for bit.
+        let channel = |n: usize| {
+            let links = (0..n)
+                .map(|i| {
+                    ClientLink::new(
+                        1_000.0 + 300.0 * i as f64,
+                        2_500.0 - 100.0 * i as f64,
+                        0.01 * i as f64,
+                    )
+                })
+                .collect();
+            let trace = vec![vec![1.0; n], (0..n).map(|i| 0.5 + 0.1 * i as f64).collect()];
+            ChannelModel::new(1.0, links).with_trace(trace)
+        };
+        for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
+            let mut sim = tiny_wire_sim(
+                Box::new(FabTopK::new()),
+                93,
+                parallelism,
+                agsfl_wire::CodecSpec::Auto,
+                channel,
+            );
+            let model = sim.config().wire.as_ref().expect("wired").channel.clone();
+            for (round, report) in drive(&mut sim, 0, 4, 8).iter().enumerate() {
+                let wire = report.wire.as_ref().expect("wire report");
+                assert_eq!(wire.uplink_bytes.len(), model.num_clients());
+                assert_eq!(
+                    report.round_time.to_bits(),
+                    model
+                        .round_time(round, &wire.uplink_bytes, wire.downlink_bytes)
+                        .to_bits(),
+                    "round {round} under {parallelism:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,9 +13,15 @@
 //!    uninterrupted trajectory, including mid-run precision-tier switches;
 //! 3. a `Precision::F32` override is a true zero-error configuration — it
 //!    reproduces the lossless trajectory bit for bit.
+//!
+//! A fourth pin runs each lossy tier under a wired chaos fault model —
+//! dropout, crashes, stragglers, corrupted frames with retries and a
+//! binding deadline — the shape of the lossy-uplink-under-faults round.
 
 use agsfl_exec::Parallelism;
-use agsfl_fl::{ChannelModel, Simulation, SimulationConfig, TimeModel, WireConfig};
+use agsfl_fl::{
+    ChannelModel, FaultModel, FaultRoundReport, Simulation, SimulationConfig, TimeModel, WireConfig,
+};
 use agsfl_ml::data::{FederatedDataset, SyntheticFemnist, SyntheticFemnistConfig};
 use agsfl_ml::model::LinearSoftmax;
 use agsfl_sparse::{FabTopK, FubTopK, Sparsifier};
@@ -45,6 +51,15 @@ fn build(
     sparsifier: Box<dyn Sparsifier>,
     parallelism: Parallelism,
 ) -> Simulation {
+    build_with_fault(codec, sparsifier, parallelism, None)
+}
+
+fn build_with_fault(
+    codec: CodecSpec,
+    sparsifier: Box<dyn Sparsifier>,
+    parallelism: Parallelism,
+    fault: Option<FaultModel>,
+) -> Simulation {
     let fed = tiny_dataset(7);
     let n = fed.num_clients();
     let model = LinearSoftmax::new(fed.feature_dim(), fed.num_classes());
@@ -62,7 +77,7 @@ fn build(
                 codec,
                 channel: ChannelModel::uniform(n, 1.0, 2_000.0, 4_000.0, 0.05),
             }),
-            fault: None,
+            fault,
             cohort: None,
         },
     )
@@ -279,5 +294,118 @@ fn mid_run_tier_switches_survive_workers_and_resume() {
             want,
             "tier schedule resumed at {interrupt} diverged"
         );
+    }
+}
+
+/// Every fault class at once, with a deadline tight enough that a
+/// straggler that also needs a retry misses it.
+fn lossy_chaos() -> FaultModel {
+    FaultModel {
+        drop_prob: 0.15,
+        crash_prob: 0.1,
+        outage_rounds: (1, 2),
+        straggle_prob: 0.3,
+        straggle_factor: 6.0,
+        deadline: Some(DEADLINE),
+        corrupt_prob: 0.35,
+        max_retries: 2,
+        retry_backoff: 0.02,
+        seed: 13,
+    }
+}
+
+const DEADLINE: f64 = 0.2;
+const FAULT_ROUNDS: usize = 6;
+
+fn build_faulty(codec: CodecSpec, parallelism: Parallelism) -> Simulation {
+    build_with_fault(
+        codec,
+        Box::new(FabTopK::new()),
+        parallelism,
+        Some(lossy_chaos()),
+    )
+}
+
+/// Golden FAB-top-k trajectories per lossy tier under [`lossy_chaos`] —
+/// `(params hash, elapsed bits)` after [`FAULT_ROUNDS`] rounds, captured
+/// on the engine with the barrier-plus-serial-decode fault path, before
+/// faulty rounds were pipelined. Like every pin, a change is a bug.
+const LOSSY_FAULT_GOLDEN: [(&str, u64, u64); 3] = [
+    ("qlinear8", 0xa4b63c764c429e62, 0x401e4395810624dd),
+    ("f16", 0xcea3764426db5693, 0x401e4395810624dd),
+    ("sign-norm", 0xdaa2f0106b720257, 0x401e4395810624dd),
+];
+
+#[test]
+fn lossy_fault_goldens_hold_across_workers_and_resume() {
+    for codec in CodecSpec::lossy() {
+        let want = LOSSY_FAULT_GOLDEN
+            .iter()
+            .find(|(c, _, _)| *c == codec.name())
+            .map(|&(_, p, e)| (p, e))
+            .expect("golden cell present");
+        for parallelism in worker_counts() {
+            let mut sim = build_faulty(codec, parallelism);
+            let got = run(&mut sim, FAULT_ROUNDS);
+            assert_eq!(
+                got,
+                want,
+                "{} under faults drifted under {parallelism:?}: ({:#x}, {:#x})",
+                codec.name(),
+                got.0,
+                got.1,
+            );
+        }
+        for interrupt in 1..FAULT_ROUNDS {
+            let mut first = build_faulty(codec, Parallelism::Threads(4));
+            run(&mut first, interrupt);
+            let blob = first.save_state();
+            let mut resumed = build_faulty(codec, Parallelism::Threads(2));
+            resumed.restore_state(&blob).expect("restore");
+            assert_eq!(
+                run(&mut resumed, FAULT_ROUNDS - interrupt),
+                want,
+                "{} under faults resumed at {interrupt} diverged",
+                codec.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn lossy_fault_pins_engage_every_fault_class() {
+    // Sanity for the pins above: each fault class must actually fire on
+    // each tier, or the pin would not cover the fault path it names.
+    for codec in CodecSpec::lossy() {
+        let mut sim = build_faulty(codec, Parallelism::Serial);
+        let mut total = FaultRoundReport::default();
+        for round in 0..FAULT_ROUNDS {
+            let probe = (round % 2 == 0).then_some(4);
+            let fr = sim.run_round(8, probe).fault.expect("fault report");
+            total.offline += fr.offline;
+            total.dropped += fr.dropped;
+            total.stragglers += fr.stragglers;
+            total.corrupt_frames += fr.corrupt_frames;
+            total.retries += fr.retries;
+            total.retransmitted_bytes += fr.retransmitted_bytes;
+            total.corrupt_lost += fr.corrupt_lost;
+            total.deadline_dropped += fr.deadline_dropped;
+            total.survivors += fr.survivors;
+        }
+        for (class, count) in [
+            ("offline", total.offline),
+            ("dropped", total.dropped),
+            ("stragglers", total.stragglers),
+            ("corrupt_frames", total.corrupt_frames),
+            ("retries", total.retries),
+            ("deadline_dropped", total.deadline_dropped),
+            ("survivors", total.survivors),
+        ] {
+            assert!(
+                count > 0,
+                "{}: no {class} in {FAULT_ROUNDS} rounds",
+                codec.name()
+            );
+        }
     }
 }

@@ -284,6 +284,56 @@ fn lossy_pins_hold_with_recording_enabled() {
 }
 
 #[test]
+fn round_spans_tile_the_recorded_round() {
+    // The span ledger must add up to no more than the round's wall clock:
+    // a stage timed twice — a span nested inside another, or the decode
+    // counted both on its own and inside the client pass — would overshoot.
+    // Downlink pricing is the one designed overlap (it runs on a worker
+    // beside bookkeeping), so it is left out of the sum.
+    let fed = tiny_dataset(11);
+    let n = fed.num_clients();
+    let model = LinearSoftmax::new(fed.feature_dim(), fed.num_classes());
+    let mut sim = Simulation::new(
+        Box::new(model),
+        fed,
+        Box::new(FabTopK::new()),
+        wire_config(
+            11,
+            n,
+            CodecSpec::Auto,
+            Some(chaos_model(11)),
+            Parallelism::Threads(2),
+        ),
+    );
+    let rounds = 6u64;
+    let mut rec = StageRecorder::new();
+    let mut wall_ns = 0u64;
+    for round in 0..rounds {
+        let probe = (round % 2 == 0).then_some(4);
+        let t0 = std::time::Instant::now();
+        sim.run_round_recorded(8, probe, &mut rec);
+        wall_ns += t0.elapsed().as_nanos() as u64;
+    }
+    let spans_ns: u64 = SpanId::ALL
+        .iter()
+        .filter(|&&id| id != SpanId::DownlinkPricing)
+        .map(|&id| rec.span_histogram(id).sum())
+        .sum();
+    assert!(
+        spans_ns <= wall_ns,
+        "round spans sum to {spans_ns} ns, more than the {wall_ns} ns the rounds took"
+    );
+    for id in [SpanId::ClientPass, SpanId::WireFault, SpanId::ServerDecode] {
+        assert_eq!(
+            rec.span_histogram(id).count(),
+            rounds,
+            "{id:?} must be recorded once per round"
+        );
+    }
+    assert!(rec.span_histogram(SpanId::ServerDecode).sum() > 0);
+}
+
+#[test]
 fn recording_overhead_stays_within_noise_of_the_noop_round() {
     // `run_round` *is* the noop-recorded round (a `NoopRecorder` whose
     // empty default methods compile the instrumentation away), so the

@@ -19,13 +19,17 @@ pub enum SpanId {
     /// Serial cohort setup: cohort draw, fault plan, slot binding, and the
     /// O(1) swap of returning members' population rows into the slot arena.
     Hydrate,
-    /// The fused per-client pass on the workers: shard materialization and
-    /// first-timer reset, then local gradient + uplink encode (plus the
-    /// pipelined server decode on clean rounds).
+    /// The pipelined client pass — shard materialization, first-timer
+    /// reset, local gradient and uplink encode on the workers, streaming
+    /// into the in-order server consumer — minus the consumer's
+    /// [`SpanId::WireFault`] and [`SpanId::ServerDecode`] time, so the three
+    /// tile the pass's wall time.
     ClientPass,
-    /// Server-side frame decode + re-rank into the aggregation arena.
+    /// The consumer's frame decode + re-rank of each surviving upload into
+    /// the aggregation arena, summed over the cohort; once per round.
     ServerDecode,
-    /// The wire-fault pass (retries, corruption, deadline accounting).
+    /// The consumer's per-member fault handling (corruption replay, retry
+    /// and deadline pricing), summed over the cohort; once per round.
     WireFault,
     /// Sharded server selection of the `k` broadcast elements.
     Selection,

@@ -32,6 +32,11 @@ cargo test -q -p agsfl-wire --test quantized_roundtrip
 cargo test -q -p agsfl-fl --test lossy_reproducibility
 cargo test -q -p agsfl-core qlinear8
 
+step "round path (zero-rate equivalence, faulty Serial-vs-parallel, deadline, pricing and resume unit tests)"
+# The round engine's own unit tests: one pipelined pass for clean and
+# faulty rounds alike, priced by one formula.
+cargo test -q -p agsfl-fl --lib simulation::tests
+
 step "pool gate (goldens + lossy pins bit-identical through the worker pool at every worker count)"
 # golden_trajectory and lossy_reproducibility sweep Serial/2/4/8 workers
 # internally, so one pass covers the serial reference and three pool
