@@ -12,17 +12,15 @@
 //!
 //! Three workload families are tracked. The FAB selection workload
 //! (dim = 10⁵, N = 40, k = dim/100) is measured through the seed baseline
-//! (`agsfl_sparse::reference`), the serial scratch-reusing `select_into`
-//! fast path, and the sharded `select_parallel` path on a multi-thread
-//! executor (serial vs sharded is the `fab_select_sharded` pair), plus the
-//! client-side top-k kernel in both variants. The `pool_dispatch` pair
-//! prices one parallel region's *dispatch* — the historical
-//! spawn-per-region `thread::scope` baseline vs the persistent channel-fed
-//! worker pool — over a trivially small region, so the per-round overhead
-//! the pool saves is tracked explicitly. The `cnn_forward` pair times
-//! the paper-shape (~420k-weight, batch 32) CNN forward pass through the
-//! seed scalar loops (`agsfl_ml::reference`) and the im2col lowering. The
-//! `eval_sweep` pair times one evaluation point's `O(N·D)` metric sweep
+//! (`agsfl_sparse::reference`) and the serial scratch-reusing `select_into`
+//! fast path, plus the client-side top-k kernel in both variants. The
+//! `pool_dispatch` pair prices one parallel region's *dispatch* — the
+//! historical spawn-per-region `thread::scope` baseline vs the persistent
+//! channel-fed worker pool — over a trivially small region, so the per-round
+//! overhead the pool saves is tracked explicitly. The `cnn_forward` pair
+//! times the paper-shape (~420k-weight, batch 32) CNN forward pass through
+//! the seed scalar loops (`agsfl_ml::reference`) and the im2col lowering.
+//! The `eval_sweep` pair times one evaluation point's `O(N·D)` metric sweep
 //! through the seed's three serial passes and the fused executor sweep
 //! (`agsfl_ml::metrics::global_evaluation`), asserting on the way that both
 //! return identical bits. The `wire_encode`/`wire_decode` pairs time the
@@ -31,8 +29,8 @@
 //! scratch-reusing fast paths, asserting byte-identical frames. The
 //! `checkpoint_save`/`checkpoint_load` pairs time simulation snapshots at
 //! the paper's >400k-weight scale: allocating `save_state` vs the
-//! buffer-reusing `save_state_into`, and rebuilding the simulation from
-//! its inputs vs `restore_state` of the serialized blob. The JSON reports
+//! buffer-reusing `save_state_into`, and rebuilding the simulation from its
+//! inputs vs `restore_state` of the serialized blob. The JSON reports
 //! nanoseconds per iteration (mean of the fastest half of samples) and
 //! baseline/optimized speedups.
 //!
@@ -56,7 +54,7 @@ use agsfl_exec::{mem, Executor};
 use agsfl_ml::metrics;
 use agsfl_ml::model::{Im2colScratch, Model};
 use agsfl_ml::reference as ml_reference;
-use agsfl_sparse::{reference, topk, FabTopK, SelectionScratch, ShardedScratch, Sparsifier};
+use agsfl_sparse::{reference, topk, FabTopK, SelectionScratch, Sparsifier};
 use agsfl_telemetry::{SpanId, StageRecorder};
 use agsfl_wire::{
     decode_frame, reference as wire_reference, Codec, DeltaVarint, QLinear8, WireScratch,
@@ -160,10 +158,10 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    // The sharded pair is always measured through the parallel engine (at
-    // least two workers), so the machinery is exercised and its overhead
-    // honestly recorded even on a single-core box.
-    let sharded_threads = cores.max(2);
+    // The pool and eval pairs are always measured through the parallel
+    // engine (at least two workers), so the machinery is exercised and its
+    // overhead honestly recorded even on a single-core box.
+    let parallel_threads = cores.max(2);
 
     eprintln!(
         "bench-report: FAB selection workload dim={FAB_DIM}, N={FAB_CLIENTS}, k={FAB_K} ({cores} core(s))"
@@ -194,35 +192,6 @@ fn main() {
         fab.speedup()
     );
 
-    // FAB server selection: serial scratch vs sharded `select_parallel`.
-    let exec = Executor::new(sharded_threads);
-    let mut sharded = ShardedScratch::new();
-    let sharded_ns = time_ns(|| {
-        black_box(FabTopK::new().select_parallel(
-            black_box(&uploads),
-            FAB_DIM,
-            FAB_K,
-            &mut sharded,
-            &exec,
-        ));
-    });
-    let fab_sharded = KernelReport {
-        name: "fab_select_sharded",
-        dim: FAB_DIM,
-        clients: FAB_CLIENTS,
-        k: FAB_K,
-        threads: sharded_threads,
-        seed_ns: fab.scratch_ns,
-        scratch_ns: sharded_ns,
-    };
-    eprintln!(
-        "  fab_select_sharded: serial {:.0} ns, sharded({} threads) {:.0} ns -> {:.2}x",
-        fab_sharded.seed_ns,
-        sharded_threads,
-        fab_sharded.scratch_ns,
-        fab_sharded.speedup()
-    );
-
     // Parallel-region dispatch overhead: the historical spawn-per-region
     // `thread::scope` path (`map_mut_scoped`, the retained baseline) vs the
     // persistent channel-fed pool (`map_mut`), over a deliberately tiny
@@ -231,7 +200,7 @@ fn main() {
     // computes. The round engine pays this cost several times per round;
     // the acceptance bar is pool dispatch below the scope spawn cost.
     const DISPATCH_ITEMS: usize = 64;
-    let dispatch_exec = Executor::new(sharded_threads).with_min_items(1);
+    let dispatch_exec = Executor::new(parallel_threads).with_min_items(1);
     let mut dispatch_items = vec![0u64; DISPATCH_ITEMS];
     let seed_ns = time_ns(|| {
         black_box(
@@ -252,7 +221,7 @@ fn main() {
         dim: DISPATCH_ITEMS,
         clients: DISPATCH_ITEMS,
         k: 0,
-        threads: sharded_threads,
+        threads: parallel_threads,
         seed_ns,
         scratch_ns,
     };
@@ -343,7 +312,7 @@ fn main() {
             &test.labels,
         ));
     });
-    let eval_exec = Executor::new(sharded_threads);
+    let eval_exec = Executor::new(parallel_threads);
     let sweep_ns = time_ns(|| {
         black_box(metrics::global_evaluation(
             model,
@@ -372,7 +341,7 @@ fn main() {
         dim: eval_model.num_params(),
         clients: EVAL_CLIENTS,
         k: test.len(),
-        threads: sharded_threads,
+        threads: parallel_threads,
         seed_ns,
         scratch_ns: sweep_ns,
     };
@@ -382,7 +351,7 @@ fn main() {
         EVAL_CLIENTS,
         test.len(),
         eval_report.seed_ns,
-        sharded_threads,
+        parallel_threads,
         eval_report.scratch_ns,
         eval_report.speedup()
     );
@@ -721,7 +690,6 @@ fn main() {
 
     let kernels = [
         fab,
-        fab_sharded,
         pool_dispatch,
         topk_report,
         cnn_report,

@@ -1,9 +1,9 @@
 //! Deterministic parallel execution for the AGSFL workspace.
 //!
 //! Every parallel region in the workspace — the fused per-client
-//! gradient/upload pass, the probe-loss sweep and the sharded server
-//! selection in `agsfl-sparse` — runs through one [`Executor`], configured
-//! once per simulation from a [`Parallelism`] knob and reused every round.
+//! gradient/upload pass, the probe-loss sweep and the evaluation sweeps —
+//! runs through one [`Executor`], configured once per simulation from a
+//! [`Parallelism`] knob and reused every round.
 //! The executor owns a lazily spawned, **persistent** [`pool::WorkerPool`]:
 //! worker threads are created on the first parallel region and fed over a
 //! channel from then on, so a region costs a few channel sends and one
@@ -34,10 +34,10 @@
 //!   on the calling thread in strict item order over an index-ordered
 //!   completion queue.
 //! * **Exact merges downstream.** Consumers that reduce across workers
-//!   (the selection shards in `agsfl-sparse`) only merge values whose
-//!   reduction is exact — integer histograms, minima, and index sets — or
-//!   partition the floating-point work by coordinate so every sum is
-//!   evaluated in the serial accumulation order. No floating-point
+//!   (the evaluation sweeps, FedAvg's weight average) only merge values
+//!   whose reduction is exact — integer counts or per-item results folded
+//!   in item order — or partition the floating-point work by coordinate so
+//!   every sum is evaluated in the serial accumulation order. No floating-point
 //!   reassociation ever happens behind the caller's back.
 //!
 //! The pool replaces the per-region scoped spawn with the generation

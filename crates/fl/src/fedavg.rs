@@ -194,8 +194,7 @@ impl FedAvgSimulation {
     /// *dimension stripe*: each worker owns a contiguous coordinate range
     /// and folds over the clients in client order, so every coordinate's sum
     /// is evaluated in exactly the serial association and the result is
-    /// bit-identical for any stripe count (the same argument as
-    /// `agsfl_sparse::shard`).
+    /// bit-identical for any stripe count.
     pub fn averaged_params(&self) -> Vec<f32> {
         let dim = self.clients[0].params.len();
         let mut avg = vec![0.0f64; dim];

@@ -48,17 +48,16 @@
 //!
 //! # The parallel round engine
 //!
-//! Each round runs three parallel regions through one reusable
+//! Each round runs its parallel regions through one reusable
 //! [`Executor`] (configured by [`SimulationConfig::parallelism`]): a fused
 //! per-client pass that computes the local gradient and builds the uplink
-//! message while the residual is hot in cache, the sharded server
-//! selection ([`agsfl_sparse::Sparsifier::select_parallel`]), and — on
-//! probe rounds — a per-client probe-loss sweep that evaluates all three
-//! weight vectors in a single sample fetch. Parallelism is purely a
-//! wall-clock knob: every client owns its RNG and sampler, results are
-//! concatenated in client order, and the selection shards merge exactly
-//! (see `agsfl_sparse::shard`), so identical seeds give identical runs for
-//! every thread count. `crates/fl`'s
+//! message while the residual is hot in cache, and — on probe rounds — a
+//! per-client probe-loss sweep that evaluates all three weight vectors in
+//! a single sample fetch. Server selection
+//! ([`agsfl_sparse::Sparsifier::select_into`]) runs serially on the round
+//! thread between them. Parallelism is purely a wall-clock knob: every
+//! client owns its RNG and sampler and results are consumed in client
+//! order, so identical seeds give identical runs for every thread count. `crates/fl`'s
 //! `simulation::tests::serial_and_parallel_runs_are_identical` pins this
 //! end to end.
 //!

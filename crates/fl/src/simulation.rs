@@ -9,7 +9,7 @@ use agsfl_ml::metrics::{
     GlobalEvaluation,
 };
 use agsfl_ml::model::Model;
-use agsfl_sparse::{topk, ClientUpload, SelectionResult, ShardedScratch, Sparsifier, UploadPlan};
+use agsfl_sparse::{topk, ClientUpload, SelectionResult, SelectionScratch, Sparsifier, UploadPlan};
 use agsfl_telemetry::{span_end, span_start, CounterId, GaugeId, NoopRecorder, Recorder, SpanId};
 use agsfl_wire::{
     decode_frame, decode_frame_with, frame_codec, Auto, Codec, CodecSpec, Precision, WireScratch,
@@ -271,13 +271,13 @@ pub struct Simulation {
     /// Slot indices of the members whose uploads reached the server
     /// (reused buffer, rebuilt each round).
     survivors: Vec<usize>,
-    /// Reusable (sharded) server-side selection workspace; buffers are
-    /// sized on the first round and reused (including by the probe's second
-    /// selection), keeping the per-round server path allocation-free in
-    /// steady state on the serial path. Shrunk once per round when cohort
-    /// demand drops, so a small cohort never stays priced at a big one's
-    /// high-water mark.
-    scratch: ShardedScratch,
+    /// The server-side selection workspace. Selection and the probe's
+    /// second selection both run `select_into` on it on the round thread;
+    /// buffers are sized on the first round and reused, so the per-round
+    /// server path allocates nothing beyond its results in steady state.
+    /// Shrunk once per round when cohort demand drops, so a small cohort
+    /// never stays priced at a big one's high-water mark.
+    scratch: SelectionScratch,
     /// The round engine's executor, built once from the configured
     /// [`Parallelism`] and reused by every parallel region.
     executor: Executor,
@@ -383,7 +383,7 @@ impl Simulation {
             cohort_rng,
             cohort: Vec::new(),
             survivors: Vec::new(),
-            scratch: ShardedScratch::new(),
+            scratch: SelectionScratch::new(),
             executor,
             wire,
             fault,
@@ -909,16 +909,12 @@ impl Simulation {
             _ => slowest_uplink,
         };
 
-        // (2) Server selection and aggregation, sharded across the
-        // executor's workers and reusing the round workspace.
+        // (2) Server selection and aggregation: one serial `select_into`
+        // on the round thread, reusing the round workspace.
         let t_select = span_start(rec);
-        let selection = self.sparsifier.select_parallel(
-            &self.uploads[..s],
-            dim,
-            k,
-            &mut self.scratch,
-            &self.executor,
-        );
+        let selection = self
+            .sparsifier
+            .select_into(&self.uploads[..s], dim, k, &mut self.scratch);
         span_end(rec, SpanId::Selection, t_select);
 
         // Optional probe for the derivative-sign estimator; its second
@@ -929,13 +925,9 @@ impl Simulation {
         let t_probe = span_start(rec);
         let probe = probe_k.map(|pk| {
             let pk = pk.clamp(1, dim);
-            let probe_selection = self.sparsifier.select_parallel(
-                &self.uploads[..s],
-                dim,
-                pk,
-                &mut self.scratch,
-                &self.executor,
-            );
+            let probe_selection =
+                self.sparsifier
+                    .select_into(&self.uploads[..s], dim, pk, &mut self.scratch);
             let mut report = self.build_probe_report(c, pk, &selection, &probe_selection);
             if let Some(wire) = &mut self.wire {
                 report.probe_round_time =

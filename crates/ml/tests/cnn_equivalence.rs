@@ -7,8 +7,8 @@
 //! batches and weights.
 //!
 //! **Tolerance, not byte equality.** Unlike the selection kernels in
-//! `agsfl-sparse` (whose sharded folds reproduce the serial association
-//! order-exactly and are pinned bit-identical), the im2col path reassociates
+//! `agsfl-sparse` (whose folds keep the reference association and are
+//! pinned bit-identical), the im2col path reassociates
 //! floating-point sums: the gemm kernel accumulates the contraction
 //! dimension in a fixed 4-way blocking (with 2-row output tiling) and the
 //! fully connected bias is broadcast after the fold instead of seeding it.

@@ -1,11 +1,6 @@
-use std::sync::mpsc;
-
-use agsfl_exec::Executor;
 use rand::RngCore;
 
 use crate::scratch::SelectionScratch;
-use crate::shard::{bucket_channels, exchange_entries, merge_reset_positions, ShardedScratch};
-use crate::sparse_vec::SparseGradient;
 use crate::sparsifier::{aggregate_marked, ClientUpload, SelectionResult, Sparsifier, UploadPlan};
 use crate::topk;
 
@@ -170,273 +165,6 @@ impl FabTopK {
         }
         scratch.selected.sort_unstable();
     }
-
-    /// The sharded engine behind [`Sparsifier::select_parallel`]: one
-    /// `thread::scope` whose stripe workers bucket their *upload slice* by
-    /// stripe, exchange buckets (a map–shuffle, so every entry is scanned
-    /// once in total rather than once per worker), then run the rank pass,
-    /// the union marking and the aggregation sweep over their stripe's
-    /// `O(U/S)` entry cache. The two serial decisions (`κ` from the merged
-    /// histogram; the magnitude-ranked fill set) are taken by the
-    /// coordinating thread between phases over mpsc channels.
-    /// Bit-identical to `select_indices_into` + `aggregate_marked` for any
-    /// shard count — see the `shard` module docs.
-    fn select_sharded(
-        uploads: &[ClientUpload],
-        dim: usize,
-        k: usize,
-        sharded: &mut ShardedScratch,
-        exec: &Executor,
-    ) -> SelectionResult {
-        sharded.stripe(dim, exec.threads());
-        let max_prefix = uploads.iter().map(ClientUpload::len).max().unwrap_or(0);
-        let hi = max_prefix.min(k);
-
-        enum FromWorker {
-            Hist(Vec<usize>),
-            Cands {
-                selected: usize,
-                cands: Vec<(usize, f32)>,
-            },
-        }
-        enum ToWorker {
-            Kappa(usize),
-            Fill(Vec<usize>),
-        }
-
-        let shard_count = sharded.shards.len();
-        let width = sharded.width;
-        let ShardedScratch {
-            shards,
-            rank_counts,
-            candidates,
-            ..
-        } = sharded;
-        std::thread::scope(|scope| {
-            // Bucket-exchange channels: worker `w` sends the entries of its
-            // upload slice that belong to stripe `t` through `bucket_tx[t]`,
-            // tagged with `w` so receivers assemble caches in slot order
-            // (the shared map–shuffle in `shard::exchange_entries`).
-            let (bucket_tx, bucket_rx) = bucket_channels(shard_count);
-            // Per-worker result channels (worker → coordinator), so a dead
-            // worker is observed as a closed channel at exactly its slot in
-            // the gather loops below: the coordinator bails out, drops its
-            // sender/receiver ends, every other worker unblocks with a recv
-            // error and returns, and the scope re-raises the panic. A shared
-            // result channel could not distinguish "slow" from "dead".
-            let mut to_worker = Vec::with_capacity(shard_count);
-            let mut from_worker = Vec::with_capacity(shard_count);
-            let mut handles = Vec::with_capacity(shard_count);
-            for (w, (shard, my_rx)) in shards.iter_mut().zip(bucket_rx).enumerate() {
-                let (tx, rx) = mpsc::channel::<ToWorker>();
-                to_worker.push(tx);
-                let (to_main, result_rx) = mpsc::channel::<FromWorker>();
-                from_worker.push(result_rx);
-                let bucket_tx = bucket_tx.clone();
-                handles.push(scope.spawn(move || {
-                    // Phase 0 (map + shuffle): the shared bucket exchange
-                    // rebuilds this stripe's entry cache in serial
-                    // (slot, pos) scan order.
-                    if !exchange_entries(
-                        w,
-                        uploads,
-                        dim,
-                        width,
-                        bucket_tx,
-                        &my_rx,
-                        &mut shard.entries,
-                    ) {
-                        return;
-                    }
-
-                    // Phase 1: minimum ranks + histogram over the cache.
-                    shard.begin_ranks();
-                    shard.begin_sums();
-                    shard.selected.clear();
-                    shard.rank_counts.clear();
-                    shard.rank_counts.resize(hi, 0);
-                    for i in 0..shard.entries.len() {
-                        let e = shard.entries[i];
-                        let rank = e.pos as usize;
-                        match shard.observe_rank(e.j, rank) {
-                            None => {
-                                if rank < hi {
-                                    shard.rank_counts[rank] += 1;
-                                }
-                            }
-                            Some(old) if rank < old => {
-                                if old < hi {
-                                    shard.rank_counts[old] -= 1;
-                                }
-                                if rank < hi {
-                                    shard.rank_counts[rank] += 1;
-                                }
-                            }
-                            Some(_) => {}
-                        }
-                    }
-                    if to_main
-                        .send(FromWorker::Hist(shard.rank_counts.clone()))
-                        .is_err()
-                    {
-                        return;
-                    }
-                    let Ok(ToWorker::Kappa(kappa)) = rx.recv() else {
-                        return;
-                    };
-
-                    // Phase 2: mark the stripe's part of the κ-prefix union
-                    // and gather its unmarked level-κ fill candidates.
-                    for i in 0..shard.entries.len() {
-                        let e = shard.entries[i];
-                        if (e.pos as usize) < kappa && !shard.is_marked(e.j) {
-                            debug_assert!(shard.min_rank(e.j).is_some_and(|r| r < kappa));
-                            shard.mark_selected(e.j);
-                            shard.selected.push(e.j);
-                        }
-                    }
-                    let mut cands = Vec::new();
-                    if kappa < max_prefix {
-                        for i in 0..shard.entries.len() {
-                            let e = shard.entries[i];
-                            if e.pos as usize == kappa && !shard.is_marked(e.j) {
-                                cands.push((e.j, e.v));
-                            }
-                        }
-                    }
-                    let msg = FromWorker::Cands {
-                        selected: shard.selected.len(),
-                        cands,
-                    };
-                    if to_main.send(msg).is_err() {
-                        return;
-                    }
-                    let Ok(ToWorker::Fill(fill)) = rx.recv() else {
-                        return;
-                    };
-                    for &j in &fill {
-                        shard.mark_selected(j);
-                        shard.selected.push(j);
-                    }
-
-                    // Phase 3: striped aggregation (serial fold per index)
-                    // + reset positions, over the cache.
-                    shard.sweep_marked_cached(uploads);
-                }));
-            }
-            // The workers hold their own bucket-sender clones; dropping the
-            // coordinator's originals lets the bucket exchange drain (with
-            // recv errors) if any worker dies before sending.
-            drop(bucket_tx);
-            // The serial path's bounds check fires inside the workers'
-            // bucketing pass (`exchange_entries` asserts every index), so
-            // no coordinator-side re-scan is needed.
-
-            // Merge the integer histograms and pick the largest feasible κ,
-            // exactly as the serial scan does.
-            rank_counts.clear();
-            rank_counts.resize(hi, 0);
-            let mut alive = true;
-            for rx in &from_worker {
-                match rx.recv() {
-                    Ok(FromWorker::Hist(h)) => {
-                        for (r, c) in h.into_iter().enumerate() {
-                            rank_counts[r] += c;
-                        }
-                    }
-                    _ => {
-                        // The worker panicked; stop coordinating so every
-                        // other worker unblocks and the scope re-raises.
-                        alive = false;
-                        break;
-                    }
-                }
-            }
-            if alive {
-                let mut kappa = 0;
-                let mut union_size = 0;
-                for cand in 1..=hi {
-                    union_size += rank_counts[cand - 1];
-                    if union_size <= k {
-                        kappa = cand;
-                    } else {
-                        break;
-                    }
-                }
-                for tx in &to_worker {
-                    if tx.send(ToWorker::Kappa(kappa)).is_err() {
-                        break;
-                    }
-                }
-
-                // Collect the candidate lists (worker order, deterministic)
-                // and the union size, rank the candidates by the same total
-                // order as the serial path and assign the fill indices to
-                // their owning stripes. The fill loop's `is_marked` dedup
-                // reduces to "not chosen yet": candidates were gathered
-                // unmarked and only fills mark.
-                candidates.clear();
-                let mut total_selected = 0usize;
-                for rx in &from_worker {
-                    match rx.recv() {
-                        Ok(FromWorker::Cands { selected, cands }) => {
-                            total_selected += selected;
-                            candidates.extend(cands);
-                        }
-                        _ => {
-                            alive = false;
-                            break;
-                        }
-                    }
-                }
-                if alive {
-                    let mut fills: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
-                    if total_selected < k && kappa < max_prefix {
-                        topk::rank_by_magnitude(candidates);
-                        let mut budget = k - total_selected;
-                        let mut chosen: Vec<usize> = Vec::new();
-                        for &(j, _) in candidates.iter() {
-                            if budget == 0 {
-                                break;
-                            }
-                            if !chosen.contains(&j) {
-                                chosen.push(j);
-                                fills[j / width].push(j);
-                                budget -= 1;
-                            }
-                        }
-                    }
-                    for (tx, fill) in to_worker.iter().zip(fills) {
-                        if tx.send(ToWorker::Fill(fill)).is_err() {
-                            break;
-                        }
-                    }
-                }
-            }
-            // Release the coordinator's channel ends before joining: any
-            // worker still blocked on a recv (because coordination aborted)
-            // observes the disconnect and returns instead of deadlocking.
-            drop(to_worker);
-            drop(from_worker);
-            for handle in handles {
-                if let Err(payload) = handle.join() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        });
-
-        sharded.gather_selected();
-        let reset_indices = merge_reset_positions(uploads, &sharded.shards);
-        let entries = sharded.emit_entries();
-        SelectionResult::new(
-            SparseGradient::from_sorted_entries(dim, entries),
-            reset_indices,
-            uploads.iter().map(ClientUpload::len).collect(),
-            sharded.selected.len(),
-            true,
-            true,
-        )
-    }
 }
 
 impl Sparsifier for FabTopK {
@@ -470,20 +198,6 @@ impl Sparsifier for FabTopK {
             true,
             true,
         )
-    }
-
-    fn select_parallel(
-        &self,
-        uploads: &[ClientUpload],
-        dim: usize,
-        k: usize,
-        scratch: &mut ShardedScratch,
-        exec: &Executor,
-    ) -> SelectionResult {
-        if !exec.should_parallelize(uploads.len()) || k == 0 {
-            return self.select_into(uploads, dim, k, scratch.serial_scratch());
-        }
-        Self::select_sharded(uploads, dim, k, scratch, exec)
     }
 }
 

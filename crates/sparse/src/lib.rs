@@ -43,14 +43,10 @@
 //! keeps the seed implementations as the executable specification the fast
 //! paths are property-tested against.
 //!
-//! On top of the serial fast path, [`Sparsifier::select_parallel`] shards
-//! the selection across worker threads by contiguous *dimension stripes*
-//! ([`ShardedScratch`] / [`ScratchShard`], driven by an
-//! [`agsfl_exec::Executor`]). The striped decomposition is bit-identical
-//! to `select_into` for any thread count — floating-point sums are never
-//! reassociated and every cross-shard merge is exact — so parallelism
-//! never perturbs seeded experiments; see the [`shard`] module docs for
-//! the full argument.
+//! `select_into` is the only selection path: the simulator runs it on the
+//! round thread, once at `k` and once more at the probe's `k′`. It is
+//! serial on purpose: a dimension-striped multi-threaded variant lost to it
+//! on every benchmark workload at two cores.
 //!
 //! # Example
 //!
@@ -79,20 +75,17 @@ mod periodic;
 pub mod reference;
 mod scratch;
 mod send_all;
-pub mod shard;
 mod sparse_vec;
 mod sparsifier;
 pub mod topk;
 mod unidirectional;
 
 pub use accumulator::ResidualAccumulator;
-pub use agsfl_exec::Executor;
 pub use fab::FabTopK;
 pub use fub::FubTopK;
 pub use periodic::PeriodicK;
 pub use scratch::SelectionScratch;
 pub use send_all::SendAll;
-pub use shard::{ScratchShard, ShardedScratch};
 pub use sparse_vec::SparseGradient;
-pub use sparsifier::{ClientUpload, SelectionResult, Sparsifier, UploadPlan};
+pub use sparsifier::{ClientUpload, SelectionResult, ShardedScratch, Sparsifier, UploadPlan};
 pub use unidirectional::UnidirectionalTopK;

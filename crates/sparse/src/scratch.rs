@@ -7,7 +7,7 @@
 
 /// Smallest size (slots or entries) a scratch buffer bothers shrinking
 /// below — tiny buffers are never worth releasing.
-pub(crate) const SHRINK_FLOOR: usize = 256;
+const SHRINK_FLOOR: usize = 256;
 
 /// Grow-only-with-decay policy shared by the workspace buffers (the same
 /// policy `agsfl_wire::WireScratch` applies to its frame buffer): tracks an
@@ -17,7 +17,7 @@ pub(crate) const SHRINK_FLOOR: usize = 256;
 /// high-water-mark allocation after a few rounds, while steady-state buffers
 /// never shrink (demand stays at the observed size, so the 4× guard never
 /// trips) and thus stay allocation-free.
-pub(crate) fn note_demand_and_shrink<T>(buf: &mut Vec<T>, demand: &mut usize, used: usize) {
+fn note_demand_and_shrink<T>(buf: &mut Vec<T>, demand: &mut usize, used: usize) {
     *demand = used.max(*demand / 2).max(SHRINK_FLOOR);
     if buf.capacity() > *demand * 4 {
         buf.shrink_to(*demand * 2);
@@ -31,7 +31,7 @@ pub(crate) fn note_demand_and_shrink<T>(buf: &mut Vec<T>, demand: &mut usize, us
 /// lazily re-initialised on first write. This replaces `HashSet`/`HashMap`
 /// rebuilds in the selection hot path with branch-predictable array probes.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct StampedBuf<T> {
+struct StampedBuf<T> {
     epoch: u64,
     stamp: Vec<u64>,
     data: Vec<T>,
@@ -46,7 +46,7 @@ impl<T: Copy + Default> StampedBuf<T> {
     /// dimension grew (buffers are extended once) or the decayed demand
     /// dropped far below the held size (buffers are truncated and their
     /// memory released).
-    pub(crate) fn begin(&mut self, dim: usize) {
+    fn begin(&mut self, dim: usize) {
         self.demand = dim.max(self.demand / 2).max(SHRINK_FLOOR);
         if self.stamp.len() > self.demand * 4 {
             let keep = self.demand * 2;
@@ -64,26 +64,26 @@ impl<T: Copy + Default> StampedBuf<T> {
 
     /// Number of slots currently resident (for memory audits and tests).
     #[cfg(test)]
-    pub(crate) fn resident_slots(&self) -> usize {
+    fn resident_slots(&self) -> usize {
         self.stamp.len()
     }
 
     /// Is slot `j` set in the current generation?
     #[inline]
-    pub(crate) fn is_set(&self, j: usize) -> bool {
+    fn is_set(&self, j: usize) -> bool {
         self.stamp[j] == self.epoch
     }
 
     /// Writes slot `j`, stamping it into the current generation.
     #[inline]
-    pub(crate) fn set(&mut self, j: usize, value: T) {
+    fn set(&mut self, j: usize, value: T) {
         self.stamp[j] = self.epoch;
         self.data[j] = value;
     }
 
     /// Reads slot `j`; `None` if it was not written this generation.
     #[inline]
-    pub(crate) fn get(&self, j: usize) -> Option<T> {
+    fn get(&self, j: usize) -> Option<T> {
         if self.is_set(j) {
             Some(self.data[j])
         } else {
@@ -94,7 +94,7 @@ impl<T: Copy + Default> StampedBuf<T> {
     /// Reads slot `j` without checking the stamp. Only valid after a
     /// matching `set` in the current generation.
     #[inline]
-    pub(crate) fn get_unchecked(&self, j: usize) -> T {
+    fn get_unchecked(&self, j: usize) -> T {
         debug_assert!(self.is_set(j));
         self.data[j]
     }
@@ -104,7 +104,7 @@ impl StampedBuf<f64> {
     /// Adds `v` to slot `j` if it is set this generation; one stamp probe,
     /// no re-stamping. Returns whether the slot was set.
     #[inline]
-    pub(crate) fn add_if_set(&mut self, j: usize, v: f64) -> bool {
+    fn add_if_set(&mut self, j: usize, v: f64) -> bool {
         if self.stamp[j] == self.epoch {
             self.data[j] += v;
             true
@@ -118,7 +118,7 @@ impl StampedBuf<usize> {
     /// Records `value` at slot `j`, keeping the minimum across the current
     /// generation; one stamp probe. Returns the previously stored value.
     #[inline]
-    pub(crate) fn observe_min(&mut self, j: usize, value: usize) -> Option<usize> {
+    fn observe_min(&mut self, j: usize, value: usize) -> Option<usize> {
         if self.stamp[j] == self.epoch {
             let old = self.data[j];
             if value < old {
@@ -156,9 +156,9 @@ impl StampedBuf<usize> {
 #[derive(Debug, Clone, Default)]
 pub struct SelectionScratch {
     /// Minimum rank at which each index appears across client uploads.
-    pub(crate) ranks: StampedBuf<usize>,
+    ranks: StampedBuf<usize>,
     /// Weighted per-index sums for aggregation.
-    pub(crate) sums: StampedBuf<f64>,
+    sums: StampedBuf<f64>,
     /// `rank_counts[r]` = number of indices whose minimum rank is `r`.
     pub(crate) rank_counts: Vec<usize>,
     /// Distinct indices observed this round, in first-appearance order.

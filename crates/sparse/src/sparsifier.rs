@@ -3,8 +3,11 @@ use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
 use crate::scratch::SelectionScratch;
-use crate::shard::ShardedScratch;
 use crate::SparseGradient;
+
+/// The benchmark ledger's name for the selection workspace. Exists only so
+/// `perfbench`'s ledger keeps building; goes in the next change to it.
+pub type ShardedScratch = SelectionScratch;
 
 /// What each client should upload in the current round.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -229,30 +232,18 @@ pub trait Sparsifier: Send + Sync + std::fmt::Debug {
         self.select_into(uploads, dim, k, &mut scratch)
     }
 
-    /// Multi-threaded server selection over per-worker dimension stripes.
-    ///
-    /// Bit-identical to [`Sparsifier::select_into`] for every executor and
-    /// shard count — see the [`crate::shard`] module docs for why the
-    /// striped decomposition makes this exact rather than approximate, and
-    /// `tests/select_equivalence.rs` for the proptests pinning it against
-    /// the seed implementations across 1–8 shards.
-    ///
-    /// The default method is the one-shard case: it simply runs the serial
-    /// path on the workspace's embedded [`SelectionScratch`]. Sparsifiers
-    /// with a genuinely parallel engine override it and fall back to the
-    /// same serial path when `exec` is single-threaded, the round has fewer
-    /// uploads than [`Executor::min_items`] (spawning threads for a tiny
-    /// round costs more than it saves), or the round is degenerate (no
-    /// uploads, `k == 0`).
+    /// [`Sparsifier::select_into`] under the benchmark ledger's old name;
+    /// `exec` is ignored. Exists only so `perfbench`'s ledger keeps
+    /// building; goes in the next change to it.
     fn select_parallel(
         &self,
         uploads: &[ClientUpload],
         dim: usize,
         k: usize,
-        scratch: &mut ShardedScratch,
+        scratch: &mut SelectionScratch,
         _exec: &Executor,
     ) -> SelectionResult {
-        self.select_into(uploads, dim, k, scratch.serial_scratch())
+        self.select_into(uploads, dim, k, scratch)
     }
 }
 

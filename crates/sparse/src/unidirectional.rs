@@ -1,8 +1,6 @@
-use agsfl_exec::Executor;
 use rand::RngCore;
 
 use crate::scratch::SelectionScratch;
-use crate::shard::{bucket_channels, exchange_entries, ShardedScratch};
 use crate::sparsifier::{ClientUpload, SelectionResult, Sparsifier, UploadPlan};
 use crate::SparseGradient;
 
@@ -77,75 +75,6 @@ impl Sparsifier for UnidirectionalTopK {
             .iter()
             .map(|&j| (j, scratch.sum(j) as f32))
             .collect();
-        SelectionResult::new(
-            SparseGradient::from_sorted_entries(dim, entries),
-            reset_indices,
-            uploads.iter().map(ClientUpload::len).collect(),
-            scratch.selected.len(),
-            true,
-            true,
-        )
-    }
-
-    fn select_parallel(
-        &self,
-        uploads: &[ClientUpload],
-        dim: usize,
-        k: usize,
-        scratch: &mut ShardedScratch,
-        exec: &Executor,
-    ) -> SelectionResult {
-        if !exec.should_parallelize(uploads.len()) {
-            return self.select_into(uploads, dim, k, scratch.serial_scratch());
-        }
-        scratch.stripe(dim, exec.threads());
-        // The downlink is the union of every uploaded coordinate, so after
-        // the shared map–shuffle bucket exchange (every upload entry is
-        // scanned once in total, not once per worker) each stripe worker
-        // discovers and aggregates its cached coordinates in one sweep; the
-        // reset sets are simply every client's uploaded indices, assembled
-        // by the coordinator while the workers run.
-        let shard_count = scratch.shards.len();
-        let width = scratch.width;
-        let mut reset_indices: Vec<Vec<usize>> = Vec::with_capacity(uploads.len());
-        std::thread::scope(|scope| {
-            let (bucket_tx, bucket_rx) = bucket_channels(shard_count);
-            let mut handles = Vec::with_capacity(shard_count);
-            for (w, (shard, my_rx)) in scratch.shards.iter_mut().zip(bucket_rx).enumerate() {
-                let bucket_tx = bucket_tx.clone();
-                handles.push(scope.spawn(move || {
-                    if !exchange_entries(
-                        w,
-                        uploads,
-                        dim,
-                        width,
-                        bucket_tx,
-                        &my_rx,
-                        &mut shard.entries,
-                    ) {
-                        return;
-                    }
-                    // The union sweep records first appearances in
-                    // `touched`; this sparsifier broadcasts exactly that
-                    // union, so it becomes the stripe's selected set.
-                    shard.aggregate_union_cached(uploads);
-                    shard.selected.clear();
-                    std::mem::swap(&mut shard.selected, &mut shard.touched);
-                }));
-            }
-            // The bounds check fires inside the workers' bucketing pass.
-            drop(bucket_tx);
-            for upload in uploads {
-                reset_indices.push(upload.entries.iter().map(|&(j, _)| j).collect());
-            }
-            for handle in handles {
-                if let Err(payload) = handle.join() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        });
-        scratch.gather_selected();
-        let entries = scratch.emit_entries();
         SelectionResult::new(
             SparseGradient::from_sorted_entries(dim, entries),
             reset_indices,

@@ -8,7 +8,7 @@
 /// One timed stage of the round engine (or of the runner around it).
 ///
 /// The variants mirror the round's dependency graph: the fused client
-/// gradient+encode pass, the server-side decode+re-rank, the sharded
+/// gradient+encode pass, the server-side decode+re-rank, the serial
 /// selection, the probe sweep, downlink pricing, the broadcast weight
 /// apply, end-of-round bookkeeping, and the runner-level evaluation and
 /// checkpoint writes. `BatchedForward` times the row-parallel CNN
@@ -31,7 +31,7 @@ pub enum SpanId {
     /// The consumer's per-member fault handling (corruption replay, retry
     /// and deadline pricing), summed over the cohort; once per round.
     WireFault,
-    /// Sharded server selection of the `k` broadcast elements.
+    /// Serial server selection of the `k` broadcast elements.
     Selection,
     /// The probe-loss sweep for the derivative-sign estimator.
     Probe,

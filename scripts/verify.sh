@@ -37,6 +37,12 @@ step "round path (zero-rate equivalence, faulty Serial-vs-parallel, deadline, pr
 # faulty rounds alike, priced by one formula.
 cargo test -q -p agsfl-fl --lib simulation::tests
 
+step "selection (the one server selection path against the seed reference)"
+# select_into is the only selection path: reference equivalence for all
+# five sparsifiers, scratch reuse, degenerate inputs, out-of-range panics.
+cargo test -q -p agsfl-sparse --test select_equivalence
+cargo test -q -p agsfl-sparse --lib
+
 step "pool gate (goldens + lossy pins bit-identical through the worker pool at every worker count)"
 # golden_trajectory and lossy_reproducibility sweep Serial/2/4/8 workers
 # internally, so one pass covers the serial reference and three pool
