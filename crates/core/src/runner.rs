@@ -2,13 +2,13 @@
 
 use std::path::PathBuf;
 
-use agsfl_fl::checkpoint::{self, SnapshotReader, SnapshotWriter};
 use agsfl_fl::{
     CheckpointError, FedAvgConfig, FedAvgSimulation, MetricPoint, RunHistory, Simulation,
     SimulationConfig, TimeModel,
 };
 use agsfl_online::{stochastic_round, KController, PrecisionController, RoundFeedback};
 use agsfl_telemetry::{Recorder, SpanId};
+use agsfl_wire::{SnapshotReader, SnapshotWriter};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -296,7 +296,7 @@ impl Experiment {
         stop: &StopCondition,
         spec: &CheckpointSpec,
     ) -> Result<RunHistory, CheckpointError> {
-        let bytes = checkpoint::read_file(&spec.path)?;
+        let bytes = std::fs::read(&spec.path).map_err(io_error)?;
         let mut r = SnapshotReader::new(&bytes);
         r.header(RUN_MAGIC, RUN_VERSION)?;
         let sim_blob = r.bytes()?;
@@ -310,9 +310,7 @@ impl Experiment {
         // and rejects a checkpoint from a different experiment before any
         // runner state is touched.
         self.sim.restore_state(&sim_blob)?;
-        controller
-            .restore_state(&controller_bytes)
-            .map_err(|_| CheckpointError::Invalid("controller state"))?;
+        controller.restore_state(&controller_bytes)?;
         self.rounding_rng = rounding_rng;
         self.run_loop(
             controller,
@@ -342,7 +340,7 @@ impl Experiment {
         w.usize(round_in_run);
         w.f64(start_time);
         history.write_state(&mut w);
-        checkpoint::write_atomic(path, &w.into_bytes())
+        write_atomic(path, &w.into_bytes())
     }
 
     /// The shared round loop behind [`Experiment::run_with_controller`],
@@ -452,8 +450,7 @@ impl Experiment {
                     }
                 }
             }
-            self.emit_telemetry_round(&report)
-                .map_err(|e| CheckpointError::Io(e.to_string()))?;
+            self.emit_telemetry_round(&report).map_err(io_error)?;
             if stop.loss_reached(global_loss) {
                 break;
             }
@@ -471,9 +468,7 @@ impl Experiment {
             }
         }
         if let Some(state) = self.telemetry.as_mut() {
-            state
-                .flush()
-                .map_err(|e| CheckpointError::Io(e.to_string()))?;
+            state.flush().map_err(io_error)?;
         }
         Ok(history)
     }
@@ -616,6 +611,20 @@ impl Experiment {
         }
         history
     }
+}
+
+fn io_error(e: std::io::Error) -> CheckpointError {
+    CheckpointError::Io(e.to_string())
+}
+
+/// Writes `bytes` to `path` atomically: the payload lands in a `<path>.tmp`
+/// sibling first and is renamed over the destination, so a crash mid-write
+/// can never leave a torn checkpoint behind.
+fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> Result<(), CheckpointError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    std::fs::write(&tmp, bytes).map_err(io_error)?;
+    std::fs::rename(&tmp, path).map_err(io_error)
 }
 
 #[cfg(test)]
@@ -951,6 +960,54 @@ mod tests {
                 .resume_with_controller(c3.as_mut(), &StopCondition::after_rounds(4), &spec)
                 .unwrap_err(),
             CheckpointError::Io(_)
+        ));
+    }
+
+    #[test]
+    fn resume_into_a_different_controller_type_is_a_typed_mismatch() {
+        let cfg = tiny_config(10.0, 43);
+        let spec = CheckpointSpec::new(unique_ckpt_path("wrong_controller"), 1);
+        let mut first = Experiment::new(&cfg);
+        let mut sign_ogd = ControllerSpec::Algorithm2.build(first.dim(), cfg.seed);
+        first
+            .run_with_controller_checkpointed(
+                sign_ogd.as_mut(),
+                &StopCondition::after_rounds(2),
+                "run",
+                &spec,
+            )
+            .unwrap();
+        // The controller's own tag check surfaces unchanged: the run file
+        // holds a sign-OGD blob, and EXP3 names itself in the mismatch.
+        let mut second = Experiment::new(&cfg);
+        let mut exp3 = ControllerSpec::Exp3 { num_arms: 8 }.build(second.dim(), cfg.seed);
+        let err = second
+            .resume_with_controller(exp3.as_mut(), &StopCondition::after_rounds(4), &spec)
+            .unwrap_err();
+        std::fs::remove_file(&spec.path).ok();
+        assert!(
+            matches!(err, CheckpointError::Mismatch { .. }),
+            "expected a controller mismatch, got {err:?}"
+        );
+    }
+
+    #[test]
+    fn atomic_write_replaces_the_file_and_leaves_no_temp_sibling() {
+        let path = unique_ckpt_path("atomic");
+        write_atomic(&path, b"payload").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"payload");
+        // An overwrite goes through the same tmp + rename path.
+        write_atomic(&path, b"second").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"second");
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        assert!(!std::path::Path::new(&tmp).exists());
+        std::fs::remove_file(&path).unwrap();
+        // Writing into a missing directory is a typed I/O error.
+        let missing = path.join("no_such_dir").join("ckpt.bin");
+        assert!(matches!(
+            write_atomic(&missing, b"x"),
+            Err(CheckpointError::Io(_))
         ));
     }
 }

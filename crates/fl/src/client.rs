@@ -524,8 +524,8 @@ mod tests {
 
     #[test]
     fn state_roundtrip_resumes_gradient_stream() {
-        use crate::checkpoint::{SnapshotReader, SnapshotWriter};
         use crate::population::ClientPopulation;
+        use agsfl_wire::{SnapshotReader, SnapshotWriter};
 
         let (mut a, model, params) = client_and_model();
         for _ in 0..3 {
@@ -561,8 +561,8 @@ mod tests {
 
     #[test]
     fn state_restore_rejects_wrong_shape() {
-        use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
         use crate::population::ClientPopulation;
+        use agsfl_wire::{CheckpointError, SnapshotReader, SnapshotWriter};
 
         let (mut a, model, params) = client_and_model();
         a.compute_local_gradient(&model, &params);

@@ -20,7 +20,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::channel::ChannelModel;
-use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
+use agsfl_wire::{CheckpointError, SnapshotReader, SnapshotWriter};
 
 /// Upper bound on [`FaultModel::max_retries`]; larger values are almost
 /// certainly a misconfiguration (each retry re-transmits the full frame).

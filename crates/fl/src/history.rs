@@ -4,9 +4,9 @@ use agsfl_tensor::stats::Ecdf;
 use agsfl_wire::CodecId;
 use serde::{Deserialize, Serialize};
 
-use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
 use crate::fault::FaultRoundReport;
 use crate::round::{RoundReport, WireRoundReport};
+use agsfl_wire::{CheckpointError, SnapshotReader, SnapshotWriter};
 
 /// Run-level fault accounting: the per-round
 /// [`FaultRoundReport`](crate::FaultRoundReport) counters summed over every
@@ -322,8 +322,10 @@ impl RunHistory {
     /// Rebuilds a history serialized by [`RunHistory::write_state`].
     pub fn read_state(r: &mut SnapshotReader<'_>) -> Result<Self, CheckpointError> {
         let label = r.str()?;
-        let num_points = r.usize()?;
-        let mut points = Vec::with_capacity(num_points.min(1 << 20));
+        // A point occupies at least 34 bytes (four 8-byte fields, two
+        // option flags), so a corrupt count fails before it allocates.
+        let num_points = r.len(34)?;
+        let mut points = Vec::with_capacity(num_points);
         for _ in 0..num_points {
             points.push(MetricPoint {
                 round: r.usize()?,

@@ -61,6 +61,14 @@
 //! `simulation::tests::serial_and_parallel_runs_are_identical` pins this
 //! end to end.
 //!
+//! # Checkpoints
+//!
+//! [`Simulation::save_state`] and [`Simulation::restore_state`] write and
+//! validate the simulation's checkpoint blob through the snapshot codec of
+//! `agsfl-wire`; its error type is re-exported here as [`CheckpointError`].
+//! The run-level file that nests this blob next to the controller state is
+//! written by `agsfl-core`.
+//!
 //! # Example
 //!
 //! ```
@@ -91,7 +99,6 @@
 #![warn(missing_docs)]
 
 mod channel;
-pub mod checkpoint;
 mod client;
 mod fault;
 mod fedavg;
@@ -103,8 +110,8 @@ mod time;
 
 pub use agsfl_exec::{Executor, Parallelism};
 pub use agsfl_telemetry::{CounterId, GaugeId, NoopRecorder, Recorder, SpanId, StageRecorder};
+pub use agsfl_wire::CheckpointError;
 pub use channel::{ChannelModel, ClientLink};
-pub use checkpoint::CheckpointError;
 pub use client::Client;
 pub use fault::{FaultConfigError, FaultModel, FaultRoundReport, MAX_RETRY_LIMIT};
 pub use fedavg::{FedAvgConfig, FedAvgSimulation};

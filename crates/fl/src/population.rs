@@ -38,8 +38,8 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
 use crate::client::Client;
+use agsfl_wire::{CheckpointError, SnapshotReader, SnapshotWriter};
 
 /// One reusable cohort slot: a transient [`Client`] arena entry plus the
 /// round-scoped bookkeeping the engine needs between phases.

@@ -19,11 +19,11 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::channel::ChannelModel;
-use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
 use crate::fault::{ClientFaultPlan, FaultConfigError, FaultModel, FaultRoundReport, FaultState};
 use crate::population::{draw_cohort, ClientPopulation, Slot};
 use crate::round::{ProbeReport, RoundReport, WireRoundReport};
 use crate::time::TimeModel;
+use agsfl_wire::{CheckpointError, SnapshotReader, SnapshotWriter};
 
 /// Byte-priced exchange configuration: which wire codec carries the
 /// messages and what channel each client sits behind.

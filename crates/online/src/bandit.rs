@@ -5,7 +5,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::sign_ogd::SearchInterval;
-use crate::snapshot::{StateError, StateReader, StateWriter};
+use agsfl_wire::{CheckpointError, SnapshotReader, SnapshotWriter};
 
 /// Bandit online convex optimization with a one-point gradient estimate —
 /// the third baseline of Fig. 5 ("Continuous bandit").
@@ -113,22 +113,22 @@ impl ContinuousBandit {
         self.current_direction = if self.rng.gen::<bool>() { 1.0 } else { -1.0 };
     }
 
-    pub(crate) fn write_state(&self, w: &mut StateWriter) {
+    pub(crate) fn write_state(&self, w: &mut SnapshotWriter) {
         w.f64(self.x);
         w.usize(self.m);
         w.f64(self.current_direction);
         w.rng(&self.rng);
     }
 
-    pub(crate) fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+    pub(crate) fn read_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), CheckpointError> {
         let x = r.f64()?;
         if !self.interval.contains(x) {
-            return Err(StateError::Invalid("iterate outside interval"));
+            return Err(CheckpointError::Invalid("iterate outside interval"));
         }
         let m = r.usize()?;
         let direction = r.f64()?;
         if direction != 1.0 && direction != -1.0 {
-            return Err(StateError::Invalid("perturbation direction"));
+            return Err(CheckpointError::Invalid("perturbation direction"));
         }
         let rng = r.rng()?;
         self.x = x;

@@ -21,9 +21,9 @@ use crate::estimator::{DerivativeSignEstimator, EstimatorInputs};
 use crate::exp3::Exp3;
 use crate::extended::ExtendedSignOgd;
 use crate::sign_ogd::SignOgd;
-use crate::snapshot::{StateError, StateReader, StateWriter};
 use crate::value_based::ValueBasedDescent;
 use crate::{KController, RoundFeedback};
+use agsfl_wire::{CheckpointError, SnapshotReader, SnapshotWriter};
 
 /// One-byte controller-type tags guarding [`KController::restore_state`]
 /// against snapshots taken from a different controller.
@@ -84,14 +84,14 @@ impl KController for SignOgd {
     }
 
     fn save_state(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        w.tag(TAG_SIGN_OGD);
+        let mut w = SnapshotWriter::new();
+        w.u8(TAG_SIGN_OGD);
         self.write_state(&mut w);
         w.into_bytes()
     }
 
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        let mut r = StateReader::new(bytes);
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+        let mut r = SnapshotReader::new(bytes);
         r.tag(TAG_SIGN_OGD, "sign OGD")?;
         let mut restored = self.clone();
         restored.read_state(&mut r)?;
@@ -121,14 +121,14 @@ impl KController for ExtendedSignOgd {
     }
 
     fn save_state(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        w.tag(TAG_EXTENDED);
+        let mut w = SnapshotWriter::new();
+        w.u8(TAG_EXTENDED);
         self.write_state(&mut w);
         w.into_bytes()
     }
 
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        let mut r = StateReader::new(bytes);
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+        let mut r = SnapshotReader::new(bytes);
         r.tag(TAG_EXTENDED, "extended sign OGD")?;
         let mut restored = self.clone();
         restored.read_state(&mut r)?;
@@ -158,14 +158,14 @@ impl KController for ValueBasedDescent {
     }
 
     fn save_state(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        w.tag(TAG_VALUE_BASED);
+        let mut w = SnapshotWriter::new();
+        w.u8(TAG_VALUE_BASED);
         self.write_state(&mut w);
         w.into_bytes()
     }
 
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        let mut r = StateReader::new(bytes);
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+        let mut r = SnapshotReader::new(bytes);
         r.tag(TAG_VALUE_BASED, "value-based descent")?;
         let mut restored = self.clone();
         restored.read_state(&mut r)?;
@@ -210,18 +210,18 @@ impl KController for FixedK {
     fn observe(&mut self, _feedback: &RoundFeedback) {}
 
     fn save_state(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        w.tag(TAG_FIXED_K);
+        let mut w = SnapshotWriter::new();
+        w.u8(TAG_FIXED_K);
         w.f64(self.k);
         w.into_bytes()
     }
 
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        let mut r = StateReader::new(bytes);
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+        let mut r = SnapshotReader::new(bytes);
         r.tag(TAG_FIXED_K, "fixed k")?;
         let k = r.f64()?;
         if !k.is_finite() || k < 1.0 {
-            return Err(StateError::Invalid("fixed k"));
+            return Err(CheckpointError::Invalid("fixed k"));
         }
         r.finish()?;
         self.k = k;
@@ -283,26 +283,26 @@ impl KController for Exp3Controller {
     }
 
     fn save_state(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        w.tag(TAG_EXP3);
+        let mut w = SnapshotWriter::new();
+        w.u8(TAG_EXP3);
         self.exp3.write_state(&mut w);
         w.usize(self.current_arm);
         w.f64(self.best_cost);
         w.into_bytes()
     }
 
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        let mut r = StateReader::new(bytes);
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+        let mut r = SnapshotReader::new(bytes);
         r.tag(TAG_EXP3, "EXP3")?;
         let mut exp3 = self.exp3.clone();
         exp3.read_state(&mut r)?;
         let current_arm = r.usize()?;
         if current_arm >= exp3.num_arms() {
-            return Err(StateError::Invalid("current arm"));
+            return Err(CheckpointError::Invalid("current arm"));
         }
         let best_cost = r.f64()?;
         if best_cost.is_nan() {
-            return Err(StateError::Invalid("best cost"));
+            return Err(CheckpointError::Invalid("best cost"));
         }
         r.finish()?;
         self.exp3 = exp3;
@@ -357,21 +357,21 @@ impl KController for BanditController {
     }
 
     fn save_state(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        w.tag(TAG_BANDIT);
+        let mut w = SnapshotWriter::new();
+        w.u8(TAG_BANDIT);
         self.bandit.write_state(&mut w);
         w.opt_f64(self.reference_cost);
         w.into_bytes()
     }
 
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        let mut r = StateReader::new(bytes);
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+        let mut r = SnapshotReader::new(bytes);
         r.tag(TAG_BANDIT, "continuous bandit")?;
         let mut bandit = self.bandit.clone();
         bandit.read_state(&mut r)?;
         let reference_cost = r.opt_f64()?;
         if reference_cost.is_some_and(|c| !c.is_finite() || c <= 0.0) {
-            return Err(StateError::Invalid("reference cost"));
+            return Err(CheckpointError::Invalid("reference cost"));
         }
         r.finish()?;
         self.bandit = bandit;
@@ -476,8 +476,8 @@ impl KController for PrecisionController {
     }
 
     fn save_state(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        w.tag(TAG_PRECISION);
+        let mut w = SnapshotWriter::new();
+        w.u8(TAG_PRECISION);
         w.usize(self.round);
         w.usize(self.explore_every);
         for cost in self.cost {
@@ -487,19 +487,19 @@ impl KController for PrecisionController {
         w.into_bytes()
     }
 
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        let mut r = StateReader::new(bytes);
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+        let mut r = SnapshotReader::new(bytes);
         r.tag(TAG_PRECISION, "precision wrapper")?;
         let round = r.usize()?;
         let explore_every = r.usize()?;
         if explore_every != self.explore_every {
-            return Err(StateError::Invalid("explore period"));
+            return Err(CheckpointError::Invalid("explore period"));
         }
         let mut cost = [None; 4];
         for slot in &mut cost {
             let c = r.opt_f64()?;
             if c.is_some_and(|c| !c.is_finite() || c < 0.0) {
-                return Err(StateError::Invalid("tier cost"));
+                return Err(CheckpointError::Invalid("tier cost"));
             }
             *slot = c;
         }
@@ -744,7 +744,7 @@ mod tests {
         let mut fixed = FixedK::new(10.0);
         assert!(matches!(
             fixed.restore_state(&snapshot),
-            Err(crate::StateError::WrongController { .. })
+            Err(agsfl_wire::CheckpointError::Mismatch { .. })
         ));
 
         // Every truncation errors and leaves the controller untouched.
@@ -760,7 +760,7 @@ mod tests {
         extended.push(0);
         assert_eq!(
             target.restore_state(&extended),
-            Err(crate::StateError::TrailingBytes)
+            Err(agsfl_wire::CheckpointError::TrailingBytes)
         );
     }
 
@@ -771,7 +771,7 @@ mod tests {
         let mut two_arms = Exp3Controller::new(Exp3::new(vec![10.0, 100.0], 0.2, 1));
         assert_eq!(
             two_arms.restore_state(&snapshot),
-            Err(crate::StateError::Invalid("weight count"))
+            Err(agsfl_wire::CheckpointError::Invalid("weight count"))
         );
     }
 
@@ -846,7 +846,7 @@ mod tests {
         let bare = SignOgd::new(SearchInterval::new(1.0, 101.0), 50.0).save_state();
         assert!(matches!(
             target.restore_state(&bare),
-            Err(crate::StateError::WrongController { .. })
+            Err(agsfl_wire::CheckpointError::Mismatch { .. })
         ));
 
         // Every truncation (including inside the nested inner blob) errors

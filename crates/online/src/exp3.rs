@@ -5,7 +5,7 @@ use rand_chacha::ChaCha8Rng;
 
 use agsfl_tensor::init::sample_weighted;
 
-use crate::snapshot::{StateError, StateReader, StateWriter};
+use agsfl_wire::{CheckpointError, SnapshotReader, SnapshotWriter};
 
 /// EXP3 (Auer et al.) over a finite set of candidate `k` values.
 ///
@@ -140,19 +140,19 @@ impl Exp3 {
         }
     }
 
-    pub(crate) fn write_state(&self, w: &mut StateWriter) {
+    pub(crate) fn write_state(&self, w: &mut SnapshotWriter) {
         w.f64s(&self.weights);
         w.usize(self.draws);
         w.rng(&self.rng);
     }
 
-    pub(crate) fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+    pub(crate) fn read_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), CheckpointError> {
         let weights = r.f64s()?;
         if weights.len() != self.arms.len() {
-            return Err(StateError::Invalid("weight count"));
+            return Err(CheckpointError::Invalid("weight count"));
         }
         if !weights.iter().all(|w| w.is_finite() && *w > 0.0) {
-            return Err(StateError::Invalid("weight value"));
+            return Err(CheckpointError::Invalid("weight value"));
         }
         let draws = r.usize()?;
         let rng = r.rng()?;

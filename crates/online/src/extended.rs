@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::sign_ogd::SearchInterval;
-use crate::snapshot::{StateError, StateReader, StateWriter};
+use agsfl_wire::{CheckpointError, SnapshotReader, SnapshotWriter};
 
 /// Configuration of [`ExtendedSignOgd`] (Algorithm 3).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -183,7 +183,7 @@ impl ExtendedSignOgd {
         self.k
     }
 
-    pub(crate) fn write_state(&self, w: &mut StateWriter) {
+    pub(crate) fn write_state(&self, w: &mut SnapshotWriter) {
         self.interval.write_state(w);
         w.f64(self.k);
         w.usize(self.instance_rounds);
@@ -194,11 +194,11 @@ impl ExtendedSignOgd {
         w.usize(self.restarts);
     }
 
-    pub(crate) fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+    pub(crate) fn read_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), CheckpointError> {
         let interval = SearchInterval::read_state(r)?;
         let k = r.f64()?;
         if !interval.contains(k) {
-            return Err(StateError::Invalid("k outside interval"));
+            return Err(CheckpointError::Invalid("k outside interval"));
         }
         let instance_rounds = r.usize()?;
         let previous_instance_rounds = r.usize()?;

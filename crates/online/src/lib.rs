@@ -22,6 +22,12 @@
 //! convex cost environments and regret accounting ([`regret`]) used to check
 //! the theorems empirically.
 //!
+//! Every controller checkpoints its mutable state through the snapshot
+//! codec of `agsfl-wire` ([`KController::save_state`] and
+//! [`KController::restore_state`]). Each blob starts with a one-byte
+//! controller-type tag, so restoring one controller's state into another
+//! type is a [`CheckpointError::Mismatch`] naming the expected controller.
+//!
 //! # Example
 //!
 //! ```
@@ -47,7 +53,6 @@ mod extended;
 pub mod regret;
 mod rounding;
 mod sign_ogd;
-pub mod snapshot;
 mod value_based;
 
 pub use bandit::ContinuousBandit;
@@ -57,8 +62,13 @@ pub use exp3::Exp3;
 pub use extended::{ExtendedConfig, ExtendedSignOgd};
 pub use rounding::stochastic_round;
 pub use sign_ogd::{SearchInterval, SignOgd};
-pub use snapshot::StateError;
 pub use value_based::ValueBasedDescent;
+
+use agsfl_wire::CheckpointError;
+
+/// The benchmark's name for the controller restore error. Exists only so
+/// `perfbench`'s workloads keep building; goes in the next change to them.
+pub use agsfl_wire::CheckpointError as StateError;
 
 /// A controller that proposes the sparsity degree `k` for the next round and
 /// learns from per-round feedback.
@@ -106,8 +116,9 @@ pub trait KController: Send + std::fmt::Debug {
     /// The controller must already be constructed with the same configuration
     /// (search interval, arms, schedules) the snapshot was taken under; only
     /// the mutable state is transported. Malformed or mismatched bytes leave
-    /// the controller untouched and return a [`StateError`].
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), StateError>;
+    /// the controller untouched and return a [`CheckpointError`]; a blob
+    /// from another controller type is a [`CheckpointError::Mismatch`].
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CheckpointError>;
 }
 
 /// Feedback given to a [`KController`] after each round.

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::snapshot::{StateError, StateReader, StateWriter};
+use agsfl_wire::{CheckpointError, SnapshotReader, SnapshotWriter};
 
 /// The closed search interval `K = [kmin, kmax]` for the sparsity degree.
 ///
@@ -61,16 +61,16 @@ impl SearchInterval {
         (self.min..=self.max).contains(&k)
     }
 
-    pub(crate) fn write_state(&self, w: &mut StateWriter) {
+    pub(crate) fn write_state(&self, w: &mut SnapshotWriter) {
         w.f64(self.min);
         w.f64(self.max);
     }
 
-    pub(crate) fn read_state(r: &mut StateReader<'_>) -> Result<Self, StateError> {
+    pub(crate) fn read_state(r: &mut SnapshotReader<'_>) -> Result<Self, CheckpointError> {
         let min = r.f64()?;
         let max = r.f64()?;
         if !min.is_finite() || !max.is_finite() || min < 1.0 || min > max {
-            return Err(StateError::Invalid("search interval"));
+            return Err(CheckpointError::Invalid("search interval"));
         }
         Ok(Self { min, max })
     }
@@ -160,17 +160,17 @@ impl SignOgd {
         self.k
     }
 
-    pub(crate) fn write_state(&self, w: &mut StateWriter) {
+    pub(crate) fn write_state(&self, w: &mut SnapshotWriter) {
         self.interval.write_state(w);
         w.f64(self.k);
         w.usize(self.m);
     }
 
-    pub(crate) fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+    pub(crate) fn read_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), CheckpointError> {
         let interval = SearchInterval::read_state(r)?;
         let k = r.f64()?;
         if !interval.contains(k) {
-            return Err(StateError::Invalid("k outside interval"));
+            return Err(CheckpointError::Invalid("k outside interval"));
         }
         let m = r.usize()?;
         self.interval = interval;

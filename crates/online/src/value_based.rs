@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::sign_ogd::SearchInterval;
-use crate::snapshot::{StateError, StateReader, StateWriter};
+use agsfl_wire::{CheckpointError, SnapshotReader, SnapshotWriter};
 
 /// Online gradient (derivative) descent that uses the *value* of the
 /// estimated derivative rather than only its sign — the first baseline of
@@ -66,17 +66,17 @@ impl ValueBasedDescent {
         self.k
     }
 
-    pub(crate) fn write_state(&self, w: &mut StateWriter) {
+    pub(crate) fn write_state(&self, w: &mut SnapshotWriter) {
         self.interval.write_state(w);
         w.f64(self.k);
         w.usize(self.m);
     }
 
-    pub(crate) fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+    pub(crate) fn read_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), CheckpointError> {
         let interval = SearchInterval::read_state(r)?;
         let k = r.f64()?;
         if !interval.contains(k) {
-            return Err(StateError::Invalid("k outside interval"));
+            return Err(CheckpointError::Invalid("k outside interval"));
         }
         let m = r.usize()?;
         self.interval = interval;

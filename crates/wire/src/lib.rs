@@ -39,6 +39,13 @@
 //! implementations live in [`mod@reference`] as the executable spec for
 //! the equivalence tests and the `bench-report` encode/decode pairs.
 //!
+//! The same validated-decode discipline serves checkpoints: [`mod@snapshot`]
+//! is the one codec for every checkpoint byte — the simulation blob of
+//! `agsfl-fl`, the controller blobs of `agsfl-online` and the run file of
+//! `agsfl-core` — with [`CheckpointError`] as its one error type. It sits
+//! here because every crate that writes a checkpoint already depends on
+//! this one.
+//!
 //! # Example
 //!
 //! ```
@@ -63,6 +70,7 @@ mod error;
 pub mod lossy;
 pub mod reference;
 mod scratch;
+pub mod snapshot;
 mod varint;
 
 pub use codec::{
@@ -72,3 +80,4 @@ pub use codec::{
 pub use error::WireError;
 pub use lossy::{f16_bits_to_f32, f32_to_f16_bits, Precision, QLinear8, SignNorm, F16, F16_MAX};
 pub use scratch::WireScratch;
+pub use snapshot::{CheckpointError, SnapshotReader, SnapshotWriter};

@@ -1,25 +1,26 @@
-//! Binary checkpoint codec: snapshot writer/reader primitives, the typed
-//! [`CheckpointError`], and atomic file I/O.
+//! The snapshot codec behind checkpoint/resume.
 //!
-//! The vendored `serde` is a no-op shim, so checkpoints use the same
-//! hand-rolled, fully validated binary style as `agsfl-wire`: little-endian
+//! One codec writes every byte of a checkpoint: the simulation blob of
+//! `agsfl-fl`, the controller blobs of `agsfl-online` and the run file of
+//! `agsfl-core`, which nests the other two. It uses the same hand-rolled,
+//! fully validated binary style as the frame codecs: little-endian
 //! fixed-width scalars, floats as raw IEEE-754 bits (the *bit-identical*
 //! resume guarantee forbids any text round-trip), and vectors in the
 //! shape-plus-flat-data idiom (`u64` length followed by the flat payload).
 //! Every read is bounds-checked and returns [`CheckpointError`] instead of
-//! panicking, mirroring the `WireError` decode discipline.
+//! panicking, mirroring the [`WireError`](crate::WireError) decode
+//! discipline: a corrupt length prefix fails before it can allocate.
 //!
-//! Files are written atomically: the payload goes to a `<path>.tmp` sibling
-//! first and is then renamed over the destination, so an interrupt mid-write
-//! leaves either the previous complete checkpoint or none — never a torn
-//! file (see [`write_atomic`]).
+//! Section headers carry four magic bytes and a version; controller blobs
+//! start with a one-byte type tag, so restoring an EXP3 snapshot into a
+//! sign-OGD controller fails with [`CheckpointError::Mismatch`] rather than
+//! silently reinterpreting bytes.
 
 use rand_chacha::ChaCha8Rng;
 
 /// Error produced when decoding or loading a checkpoint.
 ///
-/// Mirrors the `WireError` taxonomy: every malformed input maps to a typed
-/// variant, never a panic.
+/// Every malformed input maps to a typed variant, never a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
     /// The byte stream ended before the expected field.
@@ -31,9 +32,11 @@ pub enum CheckpointError {
     },
     /// The format version is not supported by this build.
     UnsupportedVersion(u32),
-    /// The checkpoint was taken from an incompatible configuration.
+    /// The checkpoint was taken from an incompatible configuration, or a
+    /// controller blob from a different controller type.
     Mismatch {
-        /// Which fingerprint field disagreed (e.g. `"dim"`, `"seed"`).
+        /// Which fingerprint field disagreed (e.g. `"dim"`, `"seed"`), or
+        /// the controller type the restore target expected.
         field: &'static str,
     },
     /// A field decoded to an out-of-range or inconsistent value.
@@ -101,7 +104,8 @@ impl SnapshotWriter {
         self.u32(version);
     }
 
-    /// Writes one byte.
+    /// Writes one byte (also a controller-type tag, see
+    /// [`SnapshotReader::tag`]).
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -136,32 +140,38 @@ impl SnapshotWriter {
         self.u32(v.to_bits());
     }
 
+    /// Writes `v` as a `u64` length followed by each element, `elem_bytes`
+    /// wide, through `put`.
+    fn seq<T: Copy>(&mut self, v: &[T], elem_bytes: usize, put: impl Fn(&mut Self, T)) {
+        self.usize(v.len());
+        self.buf.reserve(v.len() * elem_bytes);
+        for &x in v {
+            put(self, x);
+        }
+    }
+
     /// Writes a length-prefixed flat `f32` slice (shape + raw bits).
     pub fn f32s(&mut self, v: &[f32]) {
-        self.usize(v.len());
-        self.buf.reserve(v.len() * 4);
-        for &x in v {
-            self.buf.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
+        self.seq(v, 4, Self::f32);
+    }
+
+    /// Writes a length-prefixed flat `f64` slice (shape + raw bits).
+    pub fn f64s(&mut self, v: &[f64]) {
+        self.seq(v, 8, Self::f64);
     }
 
     /// Writes a length-prefixed `usize` slice.
     pub fn usizes(&mut self, v: &[usize]) {
-        self.usize(v.len());
-        for &x in v {
-            self.usize(x);
-        }
+        self.seq(v, 8, Self::usize);
     }
 
     /// Writes a length-prefixed `u64` slice.
     pub fn u64s(&mut self, v: &[u64]) {
-        self.usize(v.len());
-        for &x in v {
-            self.u64(x);
-        }
+        self.seq(v, 8, Self::u64);
     }
 
-    /// Writes a length-prefixed byte slice.
+    /// Writes a length-prefixed byte slice (also an opaque nested blob,
+    /// such as one controller's snapshot inside another's).
     pub fn bytes(&mut self, v: &[u8]) {
         self.usize(v.len());
         self.buf.extend_from_slice(v);
@@ -174,32 +184,24 @@ impl SnapshotWriter {
 
     /// Writes an optional `usize` as a presence flag plus value.
     pub fn opt_usize(&mut self, v: Option<usize>) {
-        match v {
-            Some(x) => {
-                self.bool(true);
-                self.usize(x);
-            }
-            None => self.bool(false),
+        self.bool(v.is_some());
+        if let Some(x) = v {
+            self.usize(x);
         }
     }
 
     /// Writes an optional `f64` as a presence flag plus raw bits.
     pub fn opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            Some(x) => {
-                self.bool(true);
-                self.f64(x);
-            }
-            None => self.bool(false),
+        self.bool(v.is_some());
+        if let Some(x) = v {
+            self.f64(x);
         }
     }
 
     /// Writes a ChaCha8 stream position (`key`, `counter`, `cursor`).
     pub fn rng(&mut self, rng: &ChaCha8Rng) {
         let (key, counter, cursor) = rng.state();
-        for word in key {
-            self.u32(word);
-        }
+        key.into_iter().for_each(|word| self.u32(word));
         self.u64(counter);
         self.u32(cursor);
     }
@@ -229,14 +231,17 @@ impl<'a> SnapshotReader<'a> {
     /// Returns [`CheckpointError::TrailingBytes`] unless the reader is
     /// exactly exhausted.
     pub fn finish(&self) -> Result<(), CheckpointError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(CheckpointError::TrailingBytes)
+        match self.remaining() {
+            0 => Ok(()),
+            _ => Err(CheckpointError::TrailingBytes),
         }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], CheckpointError> {
+        Ok(self.slice(N)?.try_into().expect("slice has length N"))
+    }
+
+    fn slice(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
         if self.remaining() < n {
             return Err(CheckpointError::Truncated);
         }
@@ -249,8 +254,7 @@ impl<'a> SnapshotReader<'a> {
     /// [`SnapshotWriter::header`]; returns the stored version if it is at
     /// most `max_version`.
     pub fn header(&mut self, magic: [u8; 4], max_version: u32) -> Result<u32, CheckpointError> {
-        let got = self.take(4)?;
-        if got != magic {
+        if self.take::<4>()? != magic {
             return Err(CheckpointError::BadMagic { expected: magic });
         }
         let version = self.u32()?;
@@ -260,9 +264,20 @@ impl<'a> SnapshotReader<'a> {
         Ok(version)
     }
 
+    /// Reads a controller-type tag written by [`SnapshotWriter::u8`]; any
+    /// other tag is a [`CheckpointError::Mismatch`] naming the `controller`
+    /// the restore target expected.
+    pub fn tag(&mut self, expected: u8, controller: &'static str) -> Result<(), CheckpointError> {
+        if self.u8()? == expected {
+            Ok(())
+        } else {
+            Err(CheckpointError::Mismatch { field: controller })
+        }
+    }
+
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
+        Ok(self.take::<1>()?[0])
     }
 
     /// Reads a `bool`, rejecting any byte other than 0 or 1.
@@ -276,16 +291,12 @@ impl<'a> SnapshotReader<'a> {
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, CheckpointError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_le_bytes(self.take()?))
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, CheckpointError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        Ok(u64::from_le_bytes(self.take()?))
     }
 
     /// Reads a `usize` stored as `u64`, rejecting values that overflow the
@@ -294,17 +305,16 @@ impl<'a> SnapshotReader<'a> {
         usize::try_from(self.u64()?).map_err(|_| CheckpointError::Invalid("usize overflow"))
     }
 
-    /// Reads a length prefix and sanity-checks it against the bytes left
-    /// (each element occupies at least `min_elem_bytes`), so a corrupt
-    /// length cannot trigger a huge allocation.
-    fn len(&mut self, min_elem_bytes: usize) -> Result<usize, CheckpointError> {
+    /// Reads a length prefix and checks it against the bytes left, given
+    /// that each element occupies at least `min_elem_bytes`, so a corrupt
+    /// length fails with [`CheckpointError::Truncated`] before the caller
+    /// allocates for it.
+    pub fn len(&mut self, min_elem_bytes: usize) -> Result<usize, CheckpointError> {
         let n = self.usize()?;
-        if n.checked_mul(min_elem_bytes)
-            .is_none_or(|b| b > self.remaining())
-        {
-            return Err(CheckpointError::Truncated);
+        match n.checked_mul(min_elem_bytes) {
+            Some(b) if b <= self.remaining() => Ok(n),
+            _ => Err(CheckpointError::Truncated),
         }
-        Ok(n)
     }
 
     /// Reads an `f64` from its raw bits.
@@ -317,40 +327,45 @@ impl<'a> SnapshotReader<'a> {
         Ok(f32::from_bits(self.u32()?))
     }
 
-    /// Reads a length-prefixed flat `f32` vector.
-    pub fn f32s(&mut self) -> Result<Vec<f32>, CheckpointError> {
-        let n = self.len(4)?;
+    /// Reads a sequence written by `SnapshotWriter::seq`, each element at
+    /// least `elem_bytes` wide, through `read`.
+    fn seq<T>(
+        &mut self,
+        elem_bytes: usize,
+        read: impl Fn(&mut Self) -> Result<T, CheckpointError>,
+    ) -> Result<Vec<T>, CheckpointError> {
+        let n = self.len(elem_bytes)?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
-            out.push(self.f32()?);
+            out.push(read(self)?);
         }
         Ok(out)
+    }
+
+    /// Reads a length-prefixed flat `f32` vector.
+    pub fn f32s(&mut self) -> Result<Vec<f32>, CheckpointError> {
+        self.seq(4, Self::f32)
+    }
+
+    /// Reads a length-prefixed flat `f64` vector.
+    pub fn f64s(&mut self) -> Result<Vec<f64>, CheckpointError> {
+        self.seq(8, Self::f64)
     }
 
     /// Reads a length-prefixed `usize` vector.
     pub fn usizes(&mut self) -> Result<Vec<usize>, CheckpointError> {
-        let n = self.len(8)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.usize()?);
-        }
-        Ok(out)
+        self.seq(8, Self::usize)
     }
 
     /// Reads a length-prefixed `u64` vector.
     pub fn u64s(&mut self) -> Result<Vec<u64>, CheckpointError> {
-        let n = self.len(8)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u64()?);
-        }
-        Ok(out)
+        self.seq(8, Self::u64)
     }
 
     /// Reads a length-prefixed byte vector.
     pub fn bytes(&mut self) -> Result<Vec<u8>, CheckpointError> {
         let n = self.len(1)?;
-        Ok(self.take(n)?.to_vec())
+        Ok(self.slice(n)?.to_vec())
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -360,20 +375,12 @@ impl<'a> SnapshotReader<'a> {
 
     /// Reads an optional `usize` written by [`SnapshotWriter::opt_usize`].
     pub fn opt_usize(&mut self) -> Result<Option<usize>, CheckpointError> {
-        Ok(if self.bool()? {
-            Some(self.usize()?)
-        } else {
-            None
-        })
+        self.bool()?.then(|| self.usize()).transpose()
     }
 
     /// Reads an optional `f64` written by [`SnapshotWriter::opt_f64`].
     pub fn opt_f64(&mut self) -> Result<Option<f64>, CheckpointError> {
-        Ok(if self.bool()? {
-            Some(self.f64()?)
-        } else {
-            None
-        })
+        self.bool()?.then(|| self.f64()).transpose()
     }
 
     /// Reads a ChaCha8 stream position and rebuilds the generator.
@@ -382,27 +389,8 @@ impl<'a> SnapshotReader<'a> {
         for word in &mut key {
             *word = self.u32()?;
         }
-        let counter = self.u64()?;
-        let cursor = self.u32()?;
-        Ok(ChaCha8Rng::from_state(key, counter, cursor))
+        Ok(ChaCha8Rng::from_state(key, self.u64()?, self.u32()?))
     }
-}
-
-/// Writes `bytes` to `path` atomically: the payload lands in a `<path>.tmp`
-/// sibling first and is renamed over the destination, so a crash mid-write
-/// can never leave a torn checkpoint behind.
-pub fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> Result<(), CheckpointError> {
-    let mut tmp_name = path.as_os_str().to_owned();
-    tmp_name.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp_name);
-    let io = |e: std::io::Error| CheckpointError::Io(e.to_string());
-    std::fs::write(&tmp, bytes).map_err(io)?;
-    std::fs::rename(&tmp, path).map_err(io)
-}
-
-/// Reads a checkpoint file written by [`write_atomic`].
-pub fn read_file(path: &std::path::Path) -> Result<Vec<u8>, CheckpointError> {
-    std::fs::read(path).map_err(|e| CheckpointError::Io(e.to_string()))
 }
 
 #[cfg(test)]
@@ -426,12 +414,13 @@ mod tests {
         w.opt_usize(Some(9));
         w.opt_usize(None);
         w.opt_f64(Some(2.5));
+        w.opt_f64(None);
         w.str("résumé");
         let bytes = w.into_bytes();
 
         let mut r = SnapshotReader::new(&bytes);
         assert_eq!(r.header(*b"TEST", 3).unwrap(), 3);
-        assert_eq!(r.u8().unwrap(), 7);
+        r.tag(7, "test").unwrap();
         assert!(r.bool().unwrap());
         assert!(!r.bool().unwrap());
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
@@ -443,6 +432,7 @@ mod tests {
         assert_eq!(r.opt_usize().unwrap(), Some(9));
         assert_eq!(r.opt_usize().unwrap(), None);
         assert_eq!(r.opt_f64().unwrap(), Some(2.5));
+        assert_eq!(r.opt_f64().unwrap(), None);
         assert_eq!(r.str().unwrap(), "résumé");
         r.finish().unwrap();
     }
@@ -451,17 +441,23 @@ mod tests {
     fn vector_roundtrip() {
         let mut w = SnapshotWriter::new();
         w.f32s(&[1.0, -2.5, f32::NAN]);
+        w.f64s(&[1.5, f64::NAN]);
         w.usizes(&[0, 1, usize::MAX]);
         w.u64s(&[3, 4]);
         w.bytes(b"abc");
+        w.bytes(&[]);
         let bytes = w.into_bytes();
         let mut r = SnapshotReader::new(&bytes);
         let f = r.f32s().unwrap();
         assert_eq!(f.len(), 3);
         assert!(f[2].is_nan());
+        let d = r.f64s().unwrap();
+        assert_eq!(d[0], 1.5);
+        assert_eq!(d[1].to_bits(), f64::NAN.to_bits());
         assert_eq!(r.usizes().unwrap(), vec![0, 1, usize::MAX]);
         assert_eq!(r.u64s().unwrap(), vec![3, 4]);
         assert_eq!(r.bytes().unwrap(), b"abc");
+        assert_eq!(r.bytes().unwrap(), b"");
         r.finish().unwrap();
     }
 
@@ -485,10 +481,16 @@ mod tests {
         let mut w = SnapshotWriter::new();
         w.header(*b"TEST", 1);
         w.u64s(&[1, 2, 3]);
+        w.f64s(&[1.0, 2.0]);
+        w.rng(&ChaCha8Rng::seed_from_u64(5));
         let bytes = w.into_bytes();
         for cut in 0..bytes.len() {
             let mut r = SnapshotReader::new(&bytes[..cut]);
-            let result = r.header(*b"TEST", 1).and_then(|_| r.u64s());
+            let result = r
+                .header(*b"TEST", 1)
+                .and_then(|_| r.u64s())
+                .and_then(|_| r.f64s())
+                .and_then(|_| r.rng());
             assert!(result.is_err(), "cut at {cut} must error");
         }
         // Wrong magic and unsupported version.
@@ -502,27 +504,44 @@ mod tests {
             r.header(*b"TEST", 0),
             Err(CheckpointError::UnsupportedVersion(1))
         );
-        // A bogus huge length prefix must not allocate; it errors.
-        let mut w = SnapshotWriter::new();
-        w.u64(u64::MAX / 2);
-        let bogus = w.into_bytes();
-        assert!(SnapshotReader::new(&bogus).f32s().is_err());
-        // A bool byte outside {0, 1} is invalid.
+        // A bool byte outside {0, 1} is invalid, also as an option flag.
         assert_eq!(
             SnapshotReader::new(&[2]).bool(),
+            Err(CheckpointError::Invalid("bool flag"))
+        );
+        assert_eq!(
+            SnapshotReader::new(&[2]).opt_f64(),
             Err(CheckpointError::Invalid("bool flag"))
         );
     }
 
     #[test]
-    fn atomic_write_then_read() {
-        let path = std::env::temp_dir().join(format!("agsfl_ckpt_test_{}.bin", std::process::id()));
-        write_atomic(&path, b"payload").unwrap();
-        assert_eq!(read_file(&path).unwrap(), b"payload");
-        // Overwrite goes through the same tmp+rename path.
-        write_atomic(&path, b"second").unwrap();
-        assert_eq!(read_file(&path).unwrap(), b"second");
-        std::fs::remove_file(&path).unwrap();
-        assert!(matches!(read_file(&path), Err(CheckpointError::Io(_))));
+    fn length_bombs_fail_before_allocating() {
+        let mut w = SnapshotWriter::new();
+        w.u64(u64::MAX / 2);
+        let bogus = w.into_bytes();
+        let reader = || SnapshotReader::new(&bogus);
+        assert_eq!(reader().f32s(), Err(CheckpointError::Truncated));
+        assert_eq!(reader().f64s(), Err(CheckpointError::Truncated));
+        assert_eq!(reader().usizes(), Err(CheckpointError::Truncated));
+        assert_eq!(reader().u64s(), Err(CheckpointError::Truncated));
+        assert_eq!(reader().bytes(), Err(CheckpointError::Truncated));
+        assert_eq!(reader().str(), Err(CheckpointError::Truncated));
+        assert_eq!(reader().len(1), Err(CheckpointError::Truncated));
+    }
+
+    #[test]
+    fn wrong_controller_tag_is_a_mismatch() {
+        let mut w = SnapshotWriter::new();
+        w.u8(3);
+        let bytes = w.into_bytes();
+        assert_eq!(
+            SnapshotReader::new(&bytes).tag(4, "other"),
+            Err(CheckpointError::Mismatch { field: "other" })
+        );
+        assert_eq!(
+            SnapshotReader::new(&[]).tag(4, "other"),
+            Err(CheckpointError::Truncated)
+        );
     }
 }

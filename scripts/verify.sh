@@ -27,6 +27,15 @@ cargo test -q -p agsfl-core resume
 step "decode fuzz (hostile frames never panic the wire layer)"
 cargo test -q -p agsfl-wire --test decode_fuzz
 
+step "snapshot codec (one checkpoint codec: unit tests, AGCK byte pins, hostile run files)"
+# agsfl_wire::snapshot writes every checkpoint byte: its unit tests, the
+# run-file hashes pinned per controller type at every worker count, and
+# truncated, bit-flipped and length-bombed run files that must resume or
+# fail typed, never panic or allocate on a corrupt length.
+cargo test -q -p agsfl-wire --lib snapshot
+cargo test -q -p agsfl-core --test checkpoint_format
+cargo test -q -p agsfl-core --test checkpoint_fuzz
+
 step "lossy tier (quantize/dequantize contracts + seed-reproducibility pins)"
 cargo test -q -p agsfl-wire --test quantized_roundtrip
 cargo test -q -p agsfl-fl --test lossy_reproducibility
